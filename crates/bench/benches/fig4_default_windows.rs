@@ -50,9 +50,8 @@ fn bench_default_windows(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_class_window");
     group.sample_size(20);
     for &n in &[100usize, 1000, 10_000] {
-        let mut db = db_with_poles(n);
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
-        db.drain_events();
+        let snap = geodb::store::DbStore::new(db_with_poles(n)).snapshot();
+        let poles = snap.get_class("phone_net", "Pole", false).unwrap();
         group.throughput(Throughput::Elements(poles.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &poles, |b, poles| {
             b.iter(|| {

@@ -12,6 +12,8 @@
 //!   the reference implementation [14] spent over 10 000 lines of code
 //!   on more than 100 distinct windows (~100 lines per window).
 
+use std::sync::Arc;
+
 use geodb::Instance;
 use uilib::{Library, MapScene, MapShape, SceneMap, WidgetTree};
 
@@ -24,7 +26,7 @@ use crate::{BuildError, BuiltWindow, WindowKind};
 pub fn hardwired_class_window(
     library: &Library,
     class: &str,
-    instances: &[Instance],
+    instances: &[Arc<Instance>],
 ) -> Result<BuiltWindow, BuildError> {
     let title = format!("Class: {class}");
     let mut tree = WidgetTree::new(library, "Window", "class_window")?;

@@ -21,6 +21,7 @@ pub mod baselines;
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use custlang::{AttrClause, AttrDisplay, Customization, SchemaMode, Source};
 use geodb::{Catalog, DbSnapshot, GeoDbError, GeometryKind, Instance, SchemaDef, Value};
@@ -335,12 +336,15 @@ impl InterfaceBuilder {
     // -- class-set window ---------------------------------------------------
 
     /// Build the Class-set window for one class extension, honouring a
-    /// [`Customization::ClassWindow`] payload when present.
+    /// [`Customization::ClassWindow`] payload when present. The rows are
+    /// the pinned snapshot's shared instances; the window copies what it
+    /// displays (oids, geometries) and keeps no handle to them, so an
+    /// open window never holds an old epoch's data alive.
     pub fn class_window(
         &self,
         schema: &str,
         class: &str,
-        instances: &[Instance],
+        instances: &[Arc<Instance>],
         cust: Option<&Customization>,
     ) -> Result<BuiltWindow, BuildError> {
         let _span = obs::span("builder.class_window");
@@ -354,7 +358,7 @@ impl InterfaceBuilder {
         &self,
         _schema: &str,
         class: &str,
-        instances: &[Instance],
+        instances: &[Arc<Instance>],
         cust: Option<&Customization>,
     ) -> Result<BuiltWindow, BuildError> {
         let (control, presentation) = match cust {
@@ -609,6 +613,10 @@ mod tests {
         db
     }
 
+    fn snap() -> Arc<DbSnapshot> {
+        geodb::DbStore::new(db()).snapshot()
+    }
+
     fn fig6_customizations() -> Vec<Customization> {
         let prog = parse(custlang::FIG6_PROGRAM).unwrap();
         compile(&prog, "fig6")
@@ -653,8 +661,7 @@ mod tests {
 
     #[test]
     fn default_class_window_has_buttons_and_map() {
-        let mut db = db();
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
+        let poles = snap().get_class("phone_net", "Pole", false).unwrap();
         let b = InterfaceBuilder::with_paper_library();
         let w = b.class_window("phone_net", "Pole", &poles, None).unwrap();
         let art = w.to_ascii();
@@ -670,8 +677,7 @@ mod tests {
 
     #[test]
     fn fig6_class_window_swaps_control_and_point_symbols() {
-        let mut db = db();
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
+        let poles = snap().get_class("phone_net", "Pole", false).unwrap();
         let b = InterfaceBuilder::with_paper_library();
         let cust = fig6_customizations()
             .into_iter()
@@ -688,7 +694,7 @@ mod tests {
 
     #[test]
     fn fig6_instance_window_applies_attr_clauses() {
-        let snap = geodb::DbStore::new(db()).snapshot();
+        let snap = snap();
         let poles = snap.get_class("phone_net", "Pole", false).unwrap();
         let b = InterfaceBuilder::with_paper_library();
         let cust = fig6_customizations()
@@ -718,8 +724,7 @@ mod tests {
 
     #[test]
     fn table_format_replaces_the_map() {
-        let mut db = db();
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
+        let poles = snap().get_class("phone_net", "Pole", false).unwrap();
         let b = InterfaceBuilder::with_paper_library();
         let cust = Customization::ClassWindow {
             schema: "phone_net".into(),
@@ -737,18 +742,18 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_windows_and_stay_deterministic() {
-        let mut db = db();
+        let snap = snap();
         let b = InterfaceBuilder::with_paper_library();
         let mut prints = std::collections::HashSet::new();
         for class in ["Supplier", "Pole", "Duct", "District"] {
-            let insts = db.get_class("phone_net", class, false).unwrap();
+            let insts = snap.get_class("phone_net", class, false).unwrap();
             let w = b.class_window("phone_net", class, &insts, None).unwrap();
             assert!(w.widget_count() > 3);
             prints.insert(w.fingerprint());
         }
         assert_eq!(prints.len(), 4);
 
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
+        let poles = snap.get_class("phone_net", "Pole", false).unwrap();
         let a = b.class_window("phone_net", "Pole", &poles, None).unwrap();
         let c = b.class_window("phone_net", "Pole", &poles, None).unwrap();
         assert_eq!(a.fingerprint(), c.fingerprint());
@@ -756,8 +761,7 @@ mod tests {
 
     #[test]
     fn unknown_control_widget_is_a_build_error() {
-        let mut db = db();
-        let poles = db.get_class("phone_net", "Pole", false).unwrap();
+        let poles = snap().get_class("phone_net", "Pole", false).unwrap();
         let b = InterfaceBuilder::with_paper_library();
         let cust = Customization::ClassWindow {
             schema: "phone_net".into(),

@@ -6,6 +6,8 @@
 //! actions reference native interface code, so source is the right
 //! persistence boundary, exactly as with schema methods).
 
+use std::borrow::Borrow;
+
 use geodb::db::Database;
 use geodb::error::{GeoDbError, Result};
 use geodb::schema::{ClassDef, SchemaDef};
@@ -57,10 +59,11 @@ pub fn save_program(db: &mut Database, name: &str, source: &str) -> Result<()> {
     Ok(())
 }
 
-fn program_pairs(rows: Vec<Instance>) -> Result<Vec<(String, String)>> {
+fn program_pairs<R: Borrow<Instance>>(rows: &[R]) -> Result<Vec<(String, String)>> {
     let mut out: Vec<(String, String)> = rows
-        .into_iter()
+        .iter()
         .map(|inst| {
+            let inst = inst.borrow();
             let name = match inst.get("name") {
                 Value::Text(s) => s.clone(),
                 other => {
@@ -87,7 +90,7 @@ pub fn load_programs(db: &mut Database) -> Result<Vec<(String, String)>> {
     }
     let rows = db.get_class(RULES_SCHEMA, CLASS, false)?;
     db.drain_events();
-    program_pairs(rows)
+    program_pairs(&rows)
 }
 
 /// All stored programs from a pinned snapshot — the lock-free read-path
@@ -96,7 +99,7 @@ pub fn load_programs_snap(snap: &DbSnapshot) -> Result<Vec<(String, String)>> {
     if snap.catalog().schema(RULES_SCHEMA).is_err() {
         return Ok(Vec::new());
     }
-    program_pairs(snap.get_class(RULES_SCHEMA, CLASS, false)?)
+    program_pairs(&snap.get_class(RULES_SCHEMA, CLASS, false)?)
 }
 
 /// Delete a stored program; returns whether it existed.

@@ -1,6 +1,7 @@
 //! The database facade: catalog + extents + spatial indexes + buffer pool,
 //! with the event stream the active mechanism intercepts.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,13 +29,14 @@ use crate::value::Value;
 /// [`crate::store::DbSnapshot`] read path (which resolves against the
 /// pinned snapshot, lock-free).
 pub trait RefResolver {
-    /// Fetch an instance by OID without emitting a query event.
-    fn resolve(&mut self, oid: Oid) -> Result<Instance>;
+    /// Fetch an instance by OID without emitting a query event; the
+    /// read path hands out the snapshot's shared handle, not a copy.
+    fn resolve(&mut self, oid: Oid) -> Result<Arc<Instance>>;
 }
 
 impl RefResolver for Database {
-    fn resolve(&mut self, oid: Oid) -> Result<Instance> {
-        self.peek(oid)
+    fn resolve(&mut self, oid: Oid) -> Result<Arc<Instance>> {
+        self.peek(oid).map(Arc::new)
     }
 }
 
@@ -820,10 +822,14 @@ impl Database {
 
 /// The aggregation reducer shared by [`Database::aggregate`] and the
 /// versioned store's snapshot-side aggregate.
-pub(crate) fn aggregate_rows(rows: &[Instance], path: &str, agg: Aggregate) -> Result<Value> {
+pub(crate) fn aggregate_rows<R: Borrow<Instance>>(
+    rows: &[R],
+    path: &str,
+    agg: Aggregate,
+) -> Result<Value> {
     let values: Vec<&Value> = rows
         .iter()
-        .map(|i| i.get_path(path))
+        .map(|i| i.borrow().get_path(path))
         .filter(|v| !matches!(v, Value::Null))
         .collect();
     match agg {

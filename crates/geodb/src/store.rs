@@ -10,7 +10,9 @@
 //!   `Arc` per class so a write clones only the touched class, never the
 //!   world. All query primitives (`get_schema` / `get_class` /
 //!   `get_value` / `select` / `aggregate` / `nearest` / `window_query`)
-//!   run against it without locks or `&mut`.
+//!   run against it without locks or `&mut`, and row reads hand out the
+//!   partitions' own `Arc<Instance>` handles: a published instance is
+//!   never mutated, a write replaces its `Arc`.
 //! * [`DbStore`] — the shared handle: a serialized writer (the one
 //!   mutable [`Database`] lives inside it) that watches the database's
 //!   own event stream through a subscription, rebuilds exactly the
@@ -277,7 +279,7 @@ struct SnapshotResolver<'a> {
 }
 
 impl RefResolver for SnapshotResolver<'_> {
-    fn resolve(&mut self, oid: Oid) -> Result<Instance> {
+    fn resolve(&mut self, oid: Oid) -> Result<Arc<Instance>> {
         self.snap.peek(oid)
     }
 }
@@ -358,13 +360,14 @@ impl DbSnapshot {
     }
 
     /// `Get_Class` primitive: the class extension (pass `with_subclasses`
-    /// for the polymorphic extension), in insertion order per class.
+    /// for the polymorphic extension), in insertion order per class. The
+    /// rows are the partition's own shared handles, not copies.
     pub fn get_class(
         &self,
         schema: &str,
         class: &str,
         with_subclasses: bool,
-    ) -> Result<Vec<Instance>> {
+    ) -> Result<Vec<Arc<Instance>>> {
         let _span = obs::span("geodb.get_class");
         query_failpoint()?;
         self.catalog.class(schema, class)?;
@@ -381,8 +384,9 @@ impl DbSnapshot {
         let mut out = Vec::new();
         for c in &classes {
             if let Some(part) = self.partitions.get(&(schema.to_string(), c.clone())) {
+                out.reserve(part.order.len());
                 for oid in &part.order {
-                    out.push((**part.get(*oid).expect("ordered oid present")).clone());
+                    out.push(Arc::clone(part.get(*oid).expect("ordered oid present")));
                 }
             }
         }
@@ -393,8 +397,8 @@ impl DbSnapshot {
         Ok(out)
     }
 
-    /// `Get_Value` primitive: fetch one instance.
-    pub fn get_value(&self, oid: Oid) -> Result<Instance> {
+    /// `Get_Value` primitive: fetch one instance's shared handle.
+    pub fn get_value(&self, oid: Oid) -> Result<Arc<Instance>> {
         let _span = obs::span("geodb.get_value");
         query_failpoint()?;
         let inst = self.peek(oid)?;
@@ -406,15 +410,13 @@ impl DbSnapshot {
     }
 
     /// Fetch without counters (internal plumbing, rendering).
-    pub fn peek(&self, oid: Oid) -> Result<Instance> {
+    pub fn peek(&self, oid: Oid) -> Result<Arc<Instance>> {
         let (schema, class) = self.locator.get(oid).ok_or(GeoDbError::UnknownOid(oid.0))?;
         let part = self
             .partitions
             .get(&(schema.to_string(), class.to_string()))
             .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        part.get(oid)
-            .map(|i| (**i).clone())
-            .ok_or(GeoDbError::UnknownOid(oid.0))
+        part.get(oid).cloned().ok_or(GeoDbError::UnknownOid(oid.0))
     }
 
     /// Selection with optional spatial-index acceleration; returns the
@@ -424,7 +426,7 @@ impl DbSnapshot {
         schema: &str,
         class: &str,
         pred: &Predicate,
-    ) -> Result<(Vec<Instance>, QueryStats)> {
+    ) -> Result<(Vec<Arc<Instance>>, QueryStats)> {
         let _span = obs::span("geodb.select");
         query_failpoint()?;
         self.catalog.class(schema, class)?;
@@ -441,7 +443,7 @@ impl DbSnapshot {
         for oid in candidates {
             let inst = part.get(oid).expect("candidate oid present");
             if pred.eval(inst) {
-                out.push((**inst).clone());
+                out.push(Arc::clone(inst));
             }
         }
         out.sort_by_key(|i| i.oid);
@@ -466,7 +468,12 @@ impl DbSnapshot {
     }
 
     /// Selection without the stats.
-    pub fn select(&self, schema: &str, class: &str, pred: &Predicate) -> Result<Vec<Instance>> {
+    pub fn select(
+        &self,
+        schema: &str,
+        class: &str,
+        pred: &Predicate,
+    ) -> Result<Vec<Arc<Instance>>> {
         self.select_with_stats(schema, class, pred).map(|(r, _)| r)
     }
 
@@ -484,7 +491,13 @@ impl DbSnapshot {
     }
 
     /// k-nearest-neighbour query (exact re-rank of index candidates).
-    pub fn nearest(&self, schema: &str, class: &str, p: Point, k: usize) -> Result<Vec<Instance>> {
+    pub fn nearest(
+        &self,
+        schema: &str,
+        class: &str,
+        p: Point,
+        k: usize,
+    ) -> Result<Vec<Arc<Instance>>> {
         self.catalog.class(schema, class)?;
         let part = self.partition(schema, class)?;
         let geom_attr = part.geom_attr.clone().ok_or_else(|| {
@@ -494,11 +507,11 @@ impl DbSnapshot {
             Some(idx) => idx.nearest(&p, (2 * k).max(8)),
             None => part.order.clone(),
         };
-        let mut ranked: Vec<(f64, Instance)> = Vec::with_capacity(candidates.len());
+        let mut ranked: Vec<(f64, Arc<Instance>)> = Vec::with_capacity(candidates.len());
         for oid in candidates {
             let inst = part.get(oid).expect("candidate oid present");
             if let Some(g) = inst.get(&geom_attr).as_geometry() {
-                ranked.push((g.distance_to_point(&p), (**inst).clone()));
+                ranked.push((g.distance_to_point(&p), Arc::clone(inst)));
             }
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -507,7 +520,12 @@ impl DbSnapshot {
     }
 
     /// Spatial window shortcut: everything intersecting `rect`.
-    pub fn window_query(&self, schema: &str, class: &str, rect: Rect) -> Result<Vec<Instance>> {
+    pub fn window_query(
+        &self,
+        schema: &str,
+        class: &str,
+        rect: Rect,
+    ) -> Result<Vec<Arc<Instance>>> {
         let part = self.partition(schema, class)?;
         let attr = part.geom_attr.clone().ok_or_else(|| {
             GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
@@ -1890,7 +1908,7 @@ mod tests {
                 let Value::Ref(oid) = inst.get("target") else {
                     return Ok(Value::Null);
                 };
-                Ok(Value::Text(r.resolve(*oid)?.class))
+                Ok(Value::Text(r.resolve(*oid)?.class.clone()))
             }),
         )
         .unwrap();

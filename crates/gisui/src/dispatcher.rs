@@ -17,11 +17,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use active::{ActiveError, Engine, Event, SessionContext};
-use builder::{BuildError, InterfaceBuilder, WindowKind};
+use builder::{BuildError, BuiltWindow, InterfaceBuilder, WindowKind};
 use custlang::{AnalysisEnv, Customization, Diagnostic, ParseError};
 use geodb::db::Database;
 use geodb::error::GeoDbError;
-use geodb::instance::Oid;
+use geodb::instance::{Instance, Oid};
 use geodb::query::{DbEvent, Predicate};
 use geodb::repl::ReadRouter;
 use geodb::store::{DbSnapshot, DbStore};
@@ -33,7 +33,7 @@ use crate::explain::{ExplanationLog, TraceRecord};
 use crate::modes::InteractionMode;
 use crate::protocol::{Request, Response, WindowDescriptor};
 use crate::session::{Session, SessionId};
-use crate::windows::{ManagedWindow, WindowId, WindowRegistry};
+use crate::windows::{ClassSource, ManagedWindow, WindowId, WindowRegistry};
 
 /// Report from loading the stored customization programs at boot:
 /// `(programs installed, rules installed, skipped)` where each skipped
@@ -607,7 +607,7 @@ impl Dispatcher {
         let auto_open = built.auto_open.clone();
         let id = self
             .registry
-            .insert(built, None, sid.0, schema.to_string(), None, None);
+            .insert(built, None, sid.0, schema.to_string(), None, None, None);
         self.sessions
             .get_mut(&sid)
             .expect("checked by context_of")
@@ -628,17 +628,56 @@ impl Dispatcher {
         parent: Option<WindowId>,
     ) -> Result<WindowId> {
         let ctx = self.context_of(sid)?;
-        let instances = self.snapshot().get_class(schema, class, false)?;
+        let rows = self.snapshot().get_class(schema, class, false)?;
+        self.open_class_window(sid, &ctx, schema, class, &rows, ClassSource::Extent, parent)
+    }
+
+    /// Build a Class-set window over `rows` under a session context. A
+    /// selection or a sandbox is a `Get_Class` at the event level, so
+    /// rules customize its window like the extension's; the title says
+    /// which rows it lists.
+    fn build_class_window(
+        &mut self,
+        ctx: &SessionContext,
+        schema: &str,
+        class: &str,
+        rows: &[Arc<Instance>],
+        source: &ClassSource,
+    ) -> Result<BuiltWindow> {
         let cust = self.dispatch_events(
-            &ctx,
+            ctx,
             vec![DbEvent::GetClass {
                 schema: schema.to_string(),
                 class: class.to_string(),
             }],
         )?;
-        let built = self.build_degradable("class_window", cust.as_ref(), |d, c| {
-            d.builder.class_window(schema, class, &instances, c)
+        let mut built = self.build_degradable("class_window", cust.as_ref(), |d, c| {
+            d.builder.class_window(schema, class, rows, c)
         })?;
+        match source {
+            ClassSource::Extent => {}
+            ClassSource::Selection(_) => {
+                built.title = format!("{} [filtered: {} hits]", built.title, rows.len());
+            }
+            ClassSource::Sandbox => built.title = format!("{} [simulation]", built.title),
+        }
+        Ok(built)
+    }
+
+    /// Build a Class-set window and register it for a session, recording
+    /// its row source for view refreshes.
+    #[allow(clippy::too_many_arguments)]
+    fn open_class_window(
+        &mut self,
+        sid: SessionId,
+        ctx: &SessionContext,
+        schema: &str,
+        class: &str,
+        rows: &[Arc<Instance>],
+        source: ClassSource,
+        parent: Option<WindowId>,
+    ) -> Result<WindowId> {
+        let built = self.build_class_window(ctx, schema, class, rows, &source)?;
         let id = self.registry.insert(
             built,
             parent,
@@ -646,6 +685,7 @@ impl Dispatcher {
             schema.to_string(),
             Some(class.to_string()),
             None,
+            Some(source),
         );
         self.sessions
             .get_mut(&sid)
@@ -686,6 +726,7 @@ impl Dispatcher {
             schema,
             Some(inst.class.clone()),
             Some(oid),
+            None,
         );
         self.sessions
             .get_mut(&sid)
@@ -713,33 +754,9 @@ impl Dispatcher {
             )));
         }
         let ctx = self.context_of(sid)?;
-        let instances = self.snapshot().select(schema, class, predicate)?;
-        // Selection is a Get_Class at the event level: rules customize the
-        // resulting Class-set window identically.
-        let cust = self.dispatch_events(
-            &ctx,
-            vec![DbEvent::GetClass {
-                schema: schema.to_string(),
-                class: class.to_string(),
-            }],
-        )?;
-        let mut built = self.build_degradable("class_window", cust.as_ref(), |d, c| {
-            d.builder.class_window(schema, class, &instances, c)
-        })?;
-        built.title = format!("{} [filtered: {} hits]", built.title, instances.len());
-        let id = self.registry.insert(
-            built,
-            None,
-            sid.0,
-            schema.to_string(),
-            Some(class.to_string()),
-            None,
-        );
-        self.sessions
-            .get_mut(&sid)
-            .expect("checked above")
-            .track(id);
-        Ok(id)
+        let rows = self.snapshot().select(schema, class, predicate)?;
+        let source = ClassSource::Selection(predicate.clone());
+        self.open_class_window(sid, &ctx, schema, class, &rows, source, None)
     }
 
     /// Simulation mode: apply hypothetical updates to a sandbox copy of
@@ -771,31 +788,12 @@ impl Dispatcher {
         for (oid, changes) in updates {
             sandbox.update(oid, changes)?;
         }
-        let instances = sandbox.get_class(schema, class, false)?;
-        let cust = self.dispatch_events(
-            &ctx,
-            vec![DbEvent::GetClass {
-                schema: schema.to_string(),
-                class: class.to_string(),
-            }],
-        )?;
-        let mut built = self.build_degradable("class_window", cust.as_ref(), |d, c| {
-            d.builder.class_window(schema, class, &instances, c)
-        })?;
-        built.title = format!("{} [simulation]", built.title);
-        let id = self.registry.insert(
-            built,
-            None,
-            sid.0,
-            schema.to_string(),
-            Some(class.to_string()),
-            None,
-        );
-        self.sessions
-            .get_mut(&sid)
-            .expect("checked above")
-            .track(id);
-        Ok(id)
+        let rows: Vec<Arc<Instance>> = sandbox
+            .get_class(schema, class, false)?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        self.open_class_window(sid, &ctx, schema, class, &rows, ClassSource::Sandbox, None)
     }
 
     /// Deliver a user gesture to a widget of a window; returns any windows
@@ -920,14 +918,18 @@ impl Dispatcher {
     /// Rebuild every open window showing `schema.class` (and, for
     /// Instance windows, the given object). Each window is rebuilt under
     /// *its own session's* context, so per-user customizations survive
-    /// the refresh. Returns the refreshed window ids.
+    /// the refresh, and a Class-set window re-reads its own source: the
+    /// extension, or an Analysis selection's predicate. Simulation
+    /// windows show sandbox rows and are left as they are. Returns the
+    /// refreshed window ids.
     pub fn refresh_windows(
         &mut self,
         schema: &str,
         class: &str,
         oid: Option<Oid>,
     ) -> Result<Vec<WindowId>> {
-        let targets: Vec<(WindowId, u32, WindowKind, Option<Oid>)> = self
+        type Target = (WindowId, u32, WindowKind, Option<Oid>, Option<ClassSource>);
+        let targets: Vec<Target> = self
             .registry
             .iter()
             .into_iter()
@@ -940,32 +942,27 @@ impl Dispatcher {
                         WindowKind::Schema => false,
                     }
             })
-            .map(|w| (w.id, w.session, w.built.kind, w.oid))
+            .map(|w| (w.id, w.session, w.built.kind, w.oid, w.source.clone()))
             .collect();
 
         let snap = self.snapshot();
         let mut refreshed = Vec::with_capacity(targets.len());
-        for (id, session, kind, win_oid) in targets {
+        for (id, session, kind, win_oid, source) in targets {
             let ctx = self
                 .sessions
                 .get(&SessionId(session))
                 .map(|s| s.context.clone())
                 .unwrap_or_default();
-            let built = match kind {
-                WindowKind::ClassSet => {
-                    let instances = snap.get_class(schema, class, false)?;
-                    let cust = self.dispatch_events(
-                        &ctx,
-                        vec![DbEvent::GetClass {
-                            schema: schema.to_string(),
-                            class: class.to_string(),
-                        }],
-                    )?;
-                    self.build_degradable("class_window", cust.as_ref(), |d, c| {
-                        d.builder.class_window(schema, class, &instances, c)
-                    })?
+            let built = match (kind, &source) {
+                (WindowKind::ClassSet, Some(source)) => {
+                    let rows = match source {
+                        ClassSource::Extent => snap.get_class(schema, class, false)?,
+                        ClassSource::Selection(pred) => snap.select(schema, class, pred)?,
+                        ClassSource::Sandbox => continue,
+                    };
+                    self.build_class_window(&ctx, schema, class, &rows, source)?
                 }
-                WindowKind::Instance => {
+                (WindowKind::Instance, _) => {
                     let target = win_oid.expect("instance windows record their oid");
                     let inst = snap.get_value(target)?;
                     let cust = self.dispatch_events(
@@ -980,7 +977,7 @@ impl Dispatcher {
                         d.builder.instance_window(&snap, &inst, c)
                     })?
                 }
-                WindowKind::Schema => continue,
+                _ => continue,
             };
             if let Some(managed) = self.registry.get_mut(id) {
                 managed.built = built;
@@ -1367,6 +1364,19 @@ mod tests {
     }
 
     #[test]
+    fn open_windows_hold_no_instance_handles() {
+        let mut d = dispatcher();
+        let sid = d.open_session(SessionContext::new("guest", "visitor", "browse"));
+        let poles = d.snapshot().get_class("phone_net", "Pole", false).unwrap();
+        let counts =
+            |rows: &[Arc<Instance>]| rows.iter().map(Arc::strong_count).collect::<Vec<_>>();
+        let before = counts(&poles);
+        let win = d.open_class(sid, "phone_net", "Pole", None).unwrap();
+        d.open_instance(sid, poles[0].oid, Some(win)).unwrap();
+        assert_eq!(counts(&poles), before, "a window kept a handle to its rows");
+    }
+
+    #[test]
     fn census_counts_window_kinds() {
         let mut d = dispatcher();
         let sid = d.open_session(juliano());
@@ -1468,6 +1478,75 @@ mod refresh_tests {
 
         assert!(d.render(jwin).unwrap().contains("O="), "slider kept");
         assert!(d.render(gwin).unwrap().contains("[ Zoom ]"), "generic kept");
+    }
+
+    #[test]
+    fn refresh_reruns_the_analysis_predicate() {
+        let mut d = dispatcher();
+        let analyst = d.open_session(SessionContext::new("a", "op", "survey"));
+        d.set_mode(analyst, InteractionMode::Analysis).unwrap();
+        let heavy = Predicate::cmp("pole_type", geodb::query::CmpOp::Gt, Value::Int(2));
+        let snap = d.snapshot();
+        let hits = snap.select("phone_net", "Pole", &heavy).unwrap().len();
+        let light = snap
+            .get_class("phone_net", "Pole", false)
+            .unwrap()
+            .into_iter()
+            .find(|p| !heavy.eval(p))
+            .unwrap()
+            .oid;
+        let win = d
+            .analysis_query(analyst, "phone_net", "Pole", &heavy)
+            .unwrap();
+        let filtered = |n: usize| format!("Class: Pole [filtered: {n} hits]");
+        assert_eq!(d.window(win).unwrap().built.title, filtered(hits));
+
+        // The write adds one pole to the selection; the refreshed window
+        // lists the new selection, not the whole extension.
+        let refreshed = d
+            .apply_update(analyst, light, vec![("pole_type".into(), Value::Int(4))])
+            .unwrap();
+        assert!(refreshed.contains(&win));
+        assert_eq!(d.window(win).unwrap().built.title, filtered(hits + 1));
+        let art = d.render(win).unwrap();
+        assert!(art.contains(&format!("instances: {}", hits + 1)), "{art}");
+    }
+
+    #[test]
+    fn refresh_leaves_simulation_windows_alone() {
+        let mut d = dispatcher();
+        let planner = d.open_session(SessionContext::new("p", "planner", "what_if"));
+        d.set_mode(planner, InteractionMode::Simulation).unwrap();
+        let editor = d.open_session(SessionContext::new("m", "op", "maint"));
+        d.set_mode(editor, InteractionMode::Analysis).unwrap();
+        let poles = d.snapshot().get_class("phone_net", "Pole", false).unwrap();
+        let sim = d
+            .simulate(
+                planner,
+                "phone_net",
+                "Pole",
+                vec![(poles[0].oid, vec![("pole_type".into(), Value::Int(99))])],
+            )
+            .unwrap();
+        let before = d.render(sim).unwrap();
+
+        // Another session's real write moves a pole off the map.
+        let refreshed = d
+            .apply_update(
+                editor,
+                poles[1].oid,
+                vec![(
+                    "pole_location".into(),
+                    Geometry::Point(Point::new(9999.0, 9999.0)).into(),
+                )],
+            )
+            .unwrap();
+        assert!(!refreshed.contains(&sim), "sandbox rows were overwritten");
+        assert_eq!(
+            d.window(sim).unwrap().built.title,
+            "Class: Pole [simulation]"
+        );
+        assert_eq!(d.render(sim).unwrap(), before);
     }
 
     #[test]

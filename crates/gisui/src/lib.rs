@@ -32,4 +32,4 @@ pub use modes::InteractionMode;
 pub use protocol::{decode, encode, Request, Response, WindowDescriptor, PROTOCOL_VERSION};
 pub use screen::{beside, session_screen};
 pub use session::{Session, SessionId};
-pub use windows::{ManagedWindow, WindowId, WindowRegistry};
+pub use windows::{ClassSource, ManagedWindow, WindowId, WindowRegistry};

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 use builder::BuiltWindow;
 use geodb::instance::Oid;
+use geodb::query::Predicate;
 
 /// Identifier of a managed window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -14,6 +15,19 @@ impl std::fmt::Display for WindowId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "win{}", self.0)
     }
+}
+
+/// Where a Class-set window's rows come from, so a view refresh re-reads
+/// what the window was opened on.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClassSource {
+    /// The class extension (`Get_Class`).
+    Extent,
+    /// An Analysis-mode selection: a refresh re-runs the predicate.
+    Selection(Predicate),
+    /// A Simulation-mode sandbox: hypothetical rows that the live
+    /// database has no copy of, so a refresh leaves them alone.
+    Sandbox,
 }
 
 /// A window under dispatcher management.
@@ -30,6 +44,8 @@ pub struct ManagedWindow {
     pub class: Option<String>,
     /// Object, for Instance windows.
     pub oid: Option<Oid>,
+    /// Row source, for Class-set windows.
+    pub source: Option<ClassSource>,
 }
 
 /// Registry of open windows with parent/child hierarchy.
@@ -62,6 +78,7 @@ impl WindowRegistry {
         schema: impl Into<String>,
         class: Option<String>,
         oid: Option<Oid>,
+        source: Option<ClassSource>,
     ) -> WindowId {
         let id = WindowId(self.next_id);
         self.next_id += 1;
@@ -75,6 +92,7 @@ impl WindowRegistry {
                 schema: schema.into(),
                 class,
                 oid,
+                source,
             },
         );
         if obs::enabled() {
@@ -157,7 +175,7 @@ mod tests {
     #[test]
     fn hierarchy_tracks_parents_and_children() {
         let mut reg = WindowRegistry::new();
-        let schema = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None);
+        let schema = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None, None);
         let class = reg.insert(
             dummy(WindowKind::ClassSet),
             Some(schema),
@@ -165,6 +183,7 @@ mod tests {
             "s",
             Some("Pole".into()),
             None,
+            Some(ClassSource::Extent),
         );
         let inst = reg.insert(
             dummy(WindowKind::Instance),
@@ -173,6 +192,7 @@ mod tests {
             "s",
             Some("Pole".into()),
             Some(Oid(1)),
+            None,
         );
         assert_eq!(reg.children(schema), vec![class]);
         assert_eq!(reg.children(class), vec![inst]);
@@ -183,7 +203,7 @@ mod tests {
     #[test]
     fn close_cascades_to_descendants() {
         let mut reg = WindowRegistry::new();
-        let schema = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None);
+        let schema = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None, None);
         let class = reg.insert(
             dummy(WindowKind::ClassSet),
             Some(schema),
@@ -191,9 +211,18 @@ mod tests {
             "s",
             None,
             None,
+            Some(ClassSource::Extent),
         );
-        let inst = reg.insert(dummy(WindowKind::Instance), Some(class), 0, "s", None, None);
-        let other = reg.insert(dummy(WindowKind::Schema), None, 0, "s2", None, None);
+        let inst = reg.insert(
+            dummy(WindowKind::Instance),
+            Some(class),
+            0,
+            "s",
+            None,
+            None,
+            None,
+        );
+        let other = reg.insert(dummy(WindowKind::Schema), None, 0, "s2", None, None, None);
 
         let closed = reg.close(schema);
         assert_eq!(closed, vec![schema, class, inst]);
@@ -206,9 +235,9 @@ mod tests {
     #[test]
     fn ids_are_never_reused() {
         let mut reg = WindowRegistry::new();
-        let a = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None);
+        let a = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None, None);
         reg.close(a);
-        let b = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None);
+        let b = reg.insert(dummy(WindowKind::Schema), None, 0, "s", None, None, None);
         assert_ne!(a, b);
     }
 }

@@ -82,13 +82,26 @@ pub struct SloWindow {
     pub burn_rate: f64,
 }
 
+/// Verdict of a latency objective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum LatencyState {
+    /// The observed p99 is within the objective.
+    Ok,
+    /// The observed p99 exceeds the objective.
+    Over,
+    /// The latency series is missing or empty: nothing shows the
+    /// objective is met, so this never counts as ok.
+    NoData,
+}
+
 /// Evaluation of one [`SloSpec`] at a point in time.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloStatus {
     pub spec: SloSpec,
-    /// Observed p99 of the latency metric, µs (0 when never recorded).
-    pub latency_observed_us: f64,
-    pub latency_ok: bool,
+    /// Observed p99 of the latency metric, µs; `None` when the series
+    /// is missing or holds no samples.
+    pub latency_observed_us: Option<f64>,
+    pub latency: LatencyState,
     pub fast: SloWindow,
     pub slow: SloWindow,
     /// Both windows burn above 1 — the page-worthy condition.
@@ -128,14 +141,21 @@ impl SloReport {
         use std::fmt::Write as _;
         let mut out = format!("slo report (t={:.1}s)\n", self.elapsed_s);
         for s in &self.slos {
+            let p99 = s
+                .latency_observed_us
+                .map_or_else(|| "-".to_string(), |us| format!("{us:.1}us"));
             let _ = writeln!(
                 out,
-                "  {}: p99 {:.1}us (target {:.1}us, {}) | avail {:.5} (target {:.3}, {}) \
+                "  {}: p99 {} (target {:.1}us, {}) | avail {:.5} (target {:.3}, {}) \
                  | burn fast[{:.0}s]={:.2} slow[{:.0}s]={:.2}{}",
                 s.spec.name,
-                s.latency_observed_us,
+                p99,
                 s.spec.latency_p99_us,
-                if s.latency_ok { "ok" } else { "OVER" },
+                match s.latency {
+                    LatencyState::Ok => "ok",
+                    LatencyState::Over => "OVER",
+                    LatencyState::NoData => "NO DATA",
+                },
                 s.total_availability,
                 s.spec.availability,
                 if s.breached { "BREACHED" } else { "ok" },
@@ -268,9 +288,13 @@ impl SloEngine {
                     .last_snapshot
                     .as_ref()
                     .and_then(|s| s.histograms.get(&spec.latency_metric))
-                    .map_or(0.0, |h| h.p99 / 1e3);
-                let latency_ok =
-                    latency_observed_us == 0.0 || latency_observed_us <= spec.latency_p99_us;
+                    .filter(|h| h.count > 0)
+                    .map(|h| h.p99 / 1e3);
+                let latency = match latency_observed_us {
+                    None => LatencyState::NoData,
+                    Some(us) if us <= spec.latency_p99_us => LatencyState::Ok,
+                    Some(_) => LatencyState::Over,
+                };
                 let fast = self.window(spec, i, now, spec.fast_window_s);
                 let slow = self.window(spec, i, now, spec.slow_window_s);
                 let (total_requests, total_errors) = latest.get(i).copied().unwrap_or((0, 0));
@@ -283,7 +307,7 @@ impl SloEngine {
                     burning: fast.burn_rate > 1.0 && slow.burn_rate > 1.0,
                     breached: total_availability < spec.availability,
                     latency_observed_us,
-                    latency_ok,
+                    latency,
                     fast,
                     slow,
                     total_requests,
@@ -462,7 +486,39 @@ mod tests {
         );
         e.observe(s, 1.0);
         let r = e.report();
-        assert!((r.slos[0].latency_observed_us - 120.0).abs() < 1e-6);
-        assert!(!r.slos[0].latency_ok);
+        assert!((r.slos[0].latency_observed_us.unwrap() - 120.0).abs() < 1e-6);
+        assert_eq!(r.slos[0].latency, LatencyState::Over);
+    }
+
+    #[test]
+    fn missing_or_empty_latency_series_is_no_data_not_ok() {
+        use crate::{HistogramSummary, Unit};
+        let mut e = SloEngine::new(vec![SloSpec::dispatch_default()]);
+        // Traffic flows but the latency series was never emitted.
+        e.observe(snap(100, 0), 1.0);
+        let r = e.report();
+        assert_eq!(r.slos[0].latency_observed_us, None);
+        assert_eq!(r.slos[0].latency, LatencyState::NoData);
+        assert!(r.to_json().contains("\"latency\": \"NoData\""));
+        assert!(r.render().contains("p99 - (target 50.0us, NO DATA)"));
+
+        // A registered series with no samples is no data either.
+        let mut s = snap(200, 0);
+        s.histograms.insert(
+            "engine.dispatch".to_string(),
+            HistogramSummary {
+                unit: Unit::Nanos,
+                count: 0,
+                p50: 0.0,
+                p95: 0.0,
+                p99: 0.0,
+                max: 0.0,
+                mean: 0.0,
+                sum: 0.0,
+                exemplar: None,
+            },
+        );
+        e.observe(s, 2.0);
+        assert_eq!(e.report().slos[0].latency, LatencyState::NoData);
     }
 }

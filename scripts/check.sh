@@ -27,6 +27,12 @@ fi
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> interact benchmark (build + self-tests)"
+# `interact/` is a package of its own, outside the workspace: build it
+# and run its self-tests so a library API change cannot break it unseen.
+cargo build --release --offline --manifest-path interact/Cargo.toml
+cargo test --release --offline --manifest-path interact/Cargo.toml
+
 if [[ "$QUICK" == 0 ]]; then
   echo "==> cargo clippy -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings

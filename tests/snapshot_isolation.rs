@@ -14,6 +14,12 @@
 //!    while reader threads hold pins and re-serialize them; any torn
 //!    read or leaked mutation shows up as a byte difference. The seed
 //!    comes from `ISOLATION_SEED` (CI sweeps 7, 1994, 271828).
+//!
+//! A third group checks the shared-read contract: reads hand out the
+//! pinned epoch's own `Arc<Instance>` handles, and a commit replaces an
+//! instance's handle instead of mutating it.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -21,6 +27,7 @@ use rand_chacha::ChaCha8Rng;
 
 use geodb::db::Database;
 use geodb::instance::Oid;
+use geodb::query::{CmpOp, Predicate};
 use geodb::schema::{ClassDef, SchemaDef};
 use geodb::store::DbStore;
 use geodb::value::{AttrType, Value};
@@ -271,4 +278,105 @@ fn pinned_readers_survive_a_writer_storm() {
         geodb::snapshot::save_snapshot(&store.snapshot()).unwrap(),
         "storm result diverged from sequential replay"
     );
+}
+
+/// A store holding four cells (levels 0..4) and two probes; returns the
+/// cell and probe oids.
+fn shared_store() -> (DbStore, Vec<Oid>, Vec<Oid>) {
+    let mut db = seeded_db("shared");
+    let cells = (0..4)
+        .map(|i| {
+            db.insert(
+                "grid",
+                "Cell",
+                vec![
+                    ("name".into(), Value::Text(format!("c{i}"))),
+                    ("level".into(), Value::Int(i)),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    let probes = (0..2)
+        .map(|i| {
+            db.insert(
+                "grid",
+                "Probe",
+                vec![
+                    ("name".into(), Value::Text(format!("p{i}"))),
+                    ("reading".into(), Value::Float(i as f64)),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    db.drain_events();
+    (DbStore::new(db), cells, probes)
+}
+
+/// Every read of one pinned snapshot hands out the same handles.
+#[test]
+fn reads_of_one_pin_share_handles() {
+    let (store, cells, _) = shared_store();
+    let snap = store.snapshot();
+    let first = snap.get_class("grid", "Cell", false).unwrap();
+    let again = snap.get_class("grid", "Cell", false).unwrap();
+    assert_eq!(first.len(), 4);
+    assert!(first.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+    assert!(Arc::ptr_eq(&snap.get_value(cells[2]).unwrap(), &first[2]));
+    assert!(Arc::ptr_eq(&snap.peek(cells[2]).unwrap(), &first[2]));
+    let high = Predicate::Cmp {
+        path: "level".into(),
+        op: CmpOp::Ge,
+        value: Value::Int(2),
+    };
+    let selected = snap.select("grid", "Cell", &high).unwrap();
+    assert_eq!(selected.len(), 2);
+    assert!(Arc::ptr_eq(&selected[0], &first[2]));
+    assert!(Arc::ptr_eq(&selected[1], &first[3]));
+}
+
+/// Handles taken before a commit keep their values after it publishes;
+/// the new epoch holds a fresh handle for the updated instance only.
+#[test]
+fn handles_survive_a_commit_unchanged() {
+    let (store, cells, _) = shared_store();
+    let before = store.snapshot();
+    let held = before.get_value(cells[1]).unwrap();
+    let held_class = before.get_class("grid", "Cell", false).unwrap();
+
+    store
+        .write(|db| db.update(cells[1], vec![("level".into(), Value::Int(99))]))
+        .unwrap();
+    let after = store.snapshot();
+    assert!(after.epoch() > before.epoch());
+
+    assert_eq!(held.get("level"), &Value::Int(1));
+    assert_eq!(held_class[1].get("level"), &Value::Int(1));
+    let fresh = after.get_value(cells[1]).unwrap();
+    assert_eq!(fresh.get("level"), &Value::Int(99));
+    assert!(!Arc::ptr_eq(&held, &fresh));
+    // The untouched cells of the written class are still shared.
+    let now = after.get_class("grid", "Cell", false).unwrap();
+    for i in [0, 2, 3] {
+        assert!(Arc::ptr_eq(&held_class[i], &now[i]), "cell {i} was copied");
+    }
+}
+
+/// A class the commit did not touch shares its handles across epochs.
+#[test]
+fn untouched_class_shares_handles_across_epochs() {
+    let (store, cells, probes) = shared_store();
+    let before = store.snapshot();
+    store
+        .write(|db| db.update(cells[0], vec![("level".into(), Value::Int(-1))]))
+        .unwrap();
+    let after = store.snapshot();
+    assert!(after.epoch() > before.epoch());
+
+    let then = before.get_class("grid", "Probe", false).unwrap();
+    let now = after.get_class("grid", "Probe", false).unwrap();
+    assert_eq!(then.len(), probes.len());
+    assert!(then.iter().zip(&now).all(|(a, b)| Arc::ptr_eq(a, b)));
 }
