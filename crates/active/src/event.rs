@@ -33,15 +33,22 @@ impl Event {
         Event::External { name: name.into() }
     }
 
-    /// Short description for traces.
+    /// Short description for traces (the [`Display`](std::fmt::Display)
+    /// form).
     pub fn describe(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl std::fmt::Display for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Event::Db(e) => match e.class() {
-                Some(c) => format!("{}({}, {c})", e.kind(), e.schema()),
-                None => format!("{}({})", e.kind(), e.schema()),
+                Some(c) => write!(f, "{}({}, {c})", e.kind(), e.schema()),
+                None => write!(f, "{}({})", e.kind(), e.schema()),
             },
-            Event::Interface { name, source } => format!("IE:{name}@{source}"),
-            Event::External { name } => format!("EXT:{name}"),
+            Event::Interface { name, source } => write!(f, "IE:{name}@{source}"),
+            Event::External { name } => write!(f, "EXT:{name}"),
         }
     }
 }

@@ -424,7 +424,9 @@ fn worker_loop(queue: &ShardQueue, dispatcher: &mut Dispatcher, shard: usize) {
                     // dropped, so a client that reads the trace ring
                     // right after `recv` always sees its own trace.
                     let result = {
-                        let _root = obs::trace_root("server.dispatch_batch");
+                        // The root span's histogram is the default SLO's
+                        // latency series: one sample per answered batch.
+                        let _root = obs::trace_root(obs::slo::SERVER_BATCH_SPAN);
                         let batch_len = events.len();
                         if obs::trace_recording() {
                             obs::trace_annotate("shard", shard_label.clone());
@@ -498,27 +500,36 @@ fn worker_loop(queue: &ShardQueue, dispatcher: &mut Dispatcher, shard: usize) {
                             let shard_lbl: &[(&str, &str)] = &[("shard", &shard_label)];
                             if ok > 0 {
                                 obs::counter_add_labeled(
-                                    "server.requests",
+                                    obs::slo::SERVER_REQUESTS,
                                     &[("degraded", "false"), ("shard", &shard_label)],
                                     ok,
                                 );
                             }
                             if degraded > 0 {
                                 obs::counter_add_labeled(
-                                    "server.requests",
+                                    obs::slo::SERVER_REQUESTS,
                                     &[("degraded", "true"), ("shard", &shard_label)],
                                     degraded,
                                 );
                             }
-                            if failed.is_some() {
+                            let missed = if failed.is_some() {
                                 let missed = (batch_len - dispatched).max(1) as u64;
-                                obs::counter_add_labeled("server.requests", shard_lbl, missed);
                                 obs::counter_add_labeled(
-                                    "server.request_errors",
+                                    obs::slo::SERVER_REQUESTS,
                                     shard_lbl,
                                     missed,
                                 );
-                            }
+                                missed
+                            } else {
+                                0
+                            };
+                            // Added even when zero, so the SLO's error
+                            // series exists from the first clean batch.
+                            obs::counter_add_labeled(
+                                obs::slo::SERVER_REQUEST_ERRORS,
+                                shard_lbl,
+                                missed,
+                            );
                             obs::record_nanos_labeled(
                                 "server.batch_latency",
                                 shard_lbl,

@@ -163,7 +163,7 @@ impl ActiveGis {
     }
 
     /// The rule-firing explanation log (rendered lines).
-    pub fn explanation(&self) -> &[String] {
+    pub fn explanation(&self) -> Vec<String> {
         self.dispatcher.explanation()
     }
 

@@ -14,7 +14,8 @@
 //! `available_parallelism` (CI containers are often single-core, where
 //! every thread count necessarily converges to the same requests/sec).
 //!
-//! Writes `BENCH_throughput.json` at the repo root:
+//! Writes `BENCH_throughput.json` (under `target/bench/`, or at the repo
+//! root with `BENCH_RECORD=1`):
 //! requests/sec per thread count, speedup vs 1 thread, scaling
 //! efficiency (speedup / threads), the shared-vs-copied database memory
 //! footprint (`db_bytes_shared` stays flat as shards grow; the copied
@@ -29,8 +30,9 @@
 //! ≤ 10% overhead at full sampling), and `slo` evaluates the default
 //! dispatch SLO over the clean run via multi-window burn rates — also
 //! written to `BENCH_slo.json`. `SLO_SMOKE=1` makes the bench exit
-//! non-zero if the clean run breaches the availability SLO, which is
-//! how `scripts/check.sh` gates on it.
+//! non-zero if the clean run breaches the availability SLO or observed
+//! no serving latency (`LatencyState::NoData`), which is how
+//! `scripts/check.sh` gates on it.
 //!
 //! A third section measures the **durable write path**: commits/sec and
 //! commit-latency quantiles through a WAL-attached store as the writer
@@ -731,21 +733,31 @@ fn main() {
         fields.push(("wal_encoding".into(), wal_encoding));
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
-    std::fs::write(path, json + "\n").expect("BENCH_throughput.json is writable");
-    eprintln!("[c5 throughput] wrote {path}");
+    let path = bench::write_result("BENCH_throughput.json", &json);
+    eprintln!("[c5 throughput] wrote {}", path.display());
 
     // The SLO section also lands next to the other BENCH artifacts.
-    let slo_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slo.json");
-    std::fs::write(slo_path, slo_json + "\n").expect("BENCH_slo.json is writable");
-    eprintln!("[c5 throughput] wrote {slo_path}");
+    let slo_path = bench::write_result("BENCH_slo.json", &slo_json);
+    eprintln!("[c5 throughput] wrote {}", slo_path.display());
 
     // Smoke gate: a clean (fault-free) run must not breach the
-    // availability SLO. Latency is advisory — CI containers are slow.
-    if std::env::var("SLO_SMOKE").is_ok() && slo_report.availability_breached() {
-        eprintln!("[c5 throughput] SLO_SMOKE: availability SLO breached on a clean run");
-        std::process::exit(1);
+    // availability SLO, and must have observed serving latency — a run
+    // with no latency sample proves nothing. An `Over` latency verdict
+    // is advisory: CI containers are slow.
+    if std::env::var("SLO_SMOKE").is_ok() {
+        if slo_report.availability_breached() {
+            eprintln!("[c5 throughput] SLO_SMOKE: availability SLO breached on a clean run");
+            std::process::exit(1);
+        }
+        if slo_report
+            .slos
+            .iter()
+            .any(|s| s.latency == obs::slo::LatencyState::NoData)
+        {
+            eprintln!("[c5 throughput] SLO_SMOKE: no latency sample on the serving path");
+            std::process::exit(1);
+        }
     }
 
     // Durability gate: every crash + recovery in the durability section

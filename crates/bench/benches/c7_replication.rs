@@ -20,8 +20,9 @@
 //!    `REPLICATION_GATE=1` fails the run if any promotion loses an
 //!    acknowledged durable epoch.
 //!
-//! Writes `BENCH_replication.json` at the repo root. `BENCH_QUICK=1`
-//! shrinks the workload for CI smoke runs.
+//! Writes `BENCH_replication.json` (under `target/bench/`, or at the
+//! repo root with `BENCH_RECORD=1`). `BENCH_QUICK=1` shrinks the
+//! workload for CI smoke runs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -404,10 +405,9 @@ fn main() {
         ("follower_read_scaling".into(), read_scaling),
         ("promotion".into(), promotion),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");
     let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
-    std::fs::write(path, json + "\n").expect("BENCH_replication.json is writable");
-    eprintln!("[c7 replication] wrote {path}");
+    let path = bench::write_result("BENCH_replication.json", &json);
+    eprintln!("[c7 replication] wrote {}", path.display());
 
     // Correctness gate: delta frames must hold their size win and no
     // promotion may lose an acknowledged durable epoch. Throughput and

@@ -4,9 +4,29 @@
 //! DESIGN.md index (F1–F7 figures, C1–C4 claims). Helpers here build the
 //! standard workloads so all benches measure against the same data.
 
+use std::path::{Path, PathBuf};
+
 use activegis::{ActiveGis, TelecomConfig, FIG6_PROGRAM};
 use geodb::db::Database;
 use geodb::gen::phone_net_db;
+
+/// Write a bench result file (`BENCH_*.json`) and return its path. Runs
+/// write to `target/bench/<file>`, so smoke runs leave the committed
+/// results alone; with `BENCH_RECORD=1` the committed copy at the
+/// repository root is re-recorded instead.
+pub fn write_result(file: &str, json: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if std::env::var("BENCH_RECORD").is_ok_and(|v| v == "1") {
+        root
+    } else {
+        root.join("target/bench")
+    };
+    std::fs::create_dir_all(&dir).expect("bench result directory is writable");
+    let path = dir.join(file);
+    std::fs::write(&path, format!("{json}\n"))
+        .unwrap_or_else(|e| panic!("{} is not writable: {e}", path.display()));
+    path
+}
 
 /// The paper's demo system with the Fig. 6 program installed.
 pub fn customized_gis(cfg: &TelecomConfig) -> ActiveGis {

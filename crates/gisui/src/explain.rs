@@ -4,14 +4,18 @@
 //! system presented a specific answer to a query". The dispatcher keeps
 //! the rule trace of every interaction here — as structured
 //! [`active::Trace`] values, not pre-flattened text — so the answer can
-//! be exported (JSON), filtered, or rendered. The buffer is bounded and
-//! the capacity is configurable: long-lived sessions keep the most
-//! recent traces instead of growing without limit.
+//! be exported (JSON), filtered, or rendered. A record holds the very
+//! `Arc<Trace>` the engine's outcome carries, and its text is rendered
+//! only when read. The buffer is bounded and the capacity is
+//! configurable: long-lived sessions keep the most recent traces instead
+//! of growing without limit.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use active::Trace;
 use geodb::Epoch;
+use serde::content::Content;
 use serde::{Deserialize, Serialize};
 
 /// Default number of traces retained.
@@ -22,10 +26,12 @@ pub const DEFAULT_EXPLANATION_CAPACITY: usize = 128;
 /// stream (and its JSON export) instead of widening `TraceRecord`.
 pub const DEGRADED_EVENT_PREFIX: &str = "degraded";
 
-/// One recorded interaction: the structured cascade plus its rendered
-/// explanation text and a monotonic sequence number (stable even after
-/// older records are evicted).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One recorded interaction: the structured cascade and a monotonic
+/// sequence number (stable even after older records are evicted). The
+/// explanation text is rendered on demand ([`TraceRecord::rendered`]);
+/// the JSON form still carries it under `rendered`, and deserializing
+/// ignores that key.
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct TraceRecord {
     /// Position in the dispatcher's lifetime stream of traces (0-based).
     pub seq: u64,
@@ -46,15 +52,33 @@ pub struct TraceRecord {
     /// record answers "which rules decided it".
     #[serde(default)]
     pub trace_id: u64,
-    /// The structured cascade, entry depths and shadowing intact.
-    pub trace: Trace,
-    /// Human-readable rendering, as served by `Dispatcher::explanation`.
-    pub rendered: String,
+    /// The structured cascade, entry depths and shadowing intact —
+    /// shared with the dispatch outcome that produced it.
+    pub trace: Arc<Trace>,
 }
 
-/// Bounded ring of [`TraceRecord`]s. Keeps a parallel vector of rendered
-/// lines so the legacy `&[String]` explanation view stays a contiguous
-/// borrow.
+impl TraceRecord {
+    /// Human-readable rendering, as served by `Dispatcher::explanation`.
+    pub fn rendered(&self) -> String {
+        self.trace.render()
+    }
+}
+
+impl Serialize for TraceRecord {
+    fn to_content(&self) -> Content {
+        let field = |k: &str, v: Content| (Content::Str(k.to_string()), v);
+        Content::Map(vec![
+            field("seq", self.seq.to_content()),
+            field("db_epoch", self.db_epoch.to_content()),
+            field("staleness", self.staleness.to_content()),
+            field("trace_id", self.trace_id.to_content()),
+            field("trace", self.trace.to_content()),
+            field("rendered", Content::Str(self.rendered())),
+        ])
+    }
+}
+
+/// Bounded ring of [`TraceRecord`]s.
 #[derive(Debug)]
 pub struct ExplanationLog {
     capacity: usize,
@@ -66,7 +90,6 @@ pub struct ExplanationLog {
     /// [`Self::note_staleness`]).
     staleness: u64,
     records: VecDeque<TraceRecord>,
-    rendered: Vec<String>,
 }
 
 impl Default for ExplanationLog {
@@ -84,7 +107,6 @@ impl ExplanationLog {
             db_epoch: Epoch::ZERO,
             staleness: 0,
             records: VecDeque::new(),
-            rendered: Vec::new(),
         }
     }
 
@@ -97,7 +119,6 @@ impl ExplanationLog {
         self.capacity = capacity.max(1);
         while self.records.len() > self.capacity {
             self.records.pop_front();
-            self.rendered.remove(0);
         }
     }
 
@@ -141,23 +162,20 @@ impl ExplanationLog {
         self.staleness
     }
 
-    /// Record a trace, evicting the oldest record when full.
-    pub fn push(&mut self, trace: Trace) {
-        let record = TraceRecord {
+    /// Record a trace, evicting the oldest record when full. The record
+    /// shares `trace` — nothing is copied or rendered here.
+    pub fn push(&mut self, trace: Arc<Trace>) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+        }
+        self.records.push_back(TraceRecord {
             seq: self.next_seq,
             db_epoch: self.db_epoch,
             staleness: self.staleness,
             trace_id: obs::current_trace_id(),
-            rendered: trace.render(),
             trace,
-        };
+        });
         self.next_seq += 1;
-        self.rendered.push(record.rendered.clone());
-        self.records.push_back(record);
-        if self.records.len() > self.capacity {
-            self.records.pop_front();
-            self.rendered.remove(0);
-        }
     }
 
     /// Record a graceful-degradation incident — a customized build that
@@ -169,15 +187,15 @@ impl ExplanationLog {
         // A degradation retains the surrounding request trace even when
         // the sampler did not pick it.
         obs::trace_mark_fault();
-        self.push(Trace {
+        self.push(Arc::new(Trace {
             entries: vec![active::TraceEntry {
                 depth: 0,
-                event: format!("{DEGRADED_EVENT_PREFIX}({stage}): {detail}"),
+                event: format!("{DEGRADED_EVENT_PREFIX}({stage}): {detail}").into(),
                 matched: Vec::new(),
                 fired: Vec::new(),
                 shadowed: Vec::new(),
             }],
-        });
+        }));
     }
 
     /// Retained degradation records (see [`Self::push_degraded`]),
@@ -203,8 +221,8 @@ impl ExplanationLog {
     }
 
     /// Rendered explanation lines, in lockstep with [`Self::records`].
-    pub fn rendered(&self) -> &[String] {
-        &self.rendered
+    pub fn rendered(&self) -> Vec<String> {
+        self.records.iter().map(TraceRecord::rendered).collect()
     }
 
     /// JSON export of the retained records (oldest first).
@@ -219,16 +237,16 @@ mod tests {
     use super::*;
     use active::trace::TraceEntry;
 
-    fn trace(event: &str) -> Trace {
-        Trace {
+    fn trace(event: &str) -> Arc<Trace> {
+        Arc::new(Trace {
             entries: vec![TraceEntry {
                 depth: 0,
-                event: event.to_string(),
+                event: event.into(),
                 matched: vec!["r".into()],
                 fired: vec!["r".into()],
                 shadowed: vec!["s".into()],
             }],
-        }
+        })
     }
 
     #[test]
@@ -313,6 +331,6 @@ mod tests {
         // Round-trips back into structured records.
         let records: Vec<TraceRecord> = serde_json::from_str(&json).unwrap();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].trace.entries[0].fired, vec!["r".to_string()]);
+        assert_eq!(records[0].trace.entries[0].fired, vec![Arc::from("r")]);
     }
 }

@@ -162,10 +162,13 @@ impl Histogram {
 // Registry
 // ---------------------------------------------------------------------------
 
+/// A span's registry entry, keyed by its `&'static` name. The count is
+/// atomic so a span seen before under the same parent only takes the
+/// read lock; the write lock is for a first name/parent pair.
 #[derive(Default)]
 struct SpanStat {
-    count: u64,
-    parents: BTreeSet<String>,
+    count: AtomicU64,
+    parents: BTreeSet<&'static str>,
 }
 
 struct Registry {
@@ -183,7 +186,7 @@ struct Registry {
     /// Last-write-wins level metrics (queue depths, retained epochs).
     gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: RwLock<BTreeMap<String, Arc<Mutex<Histogram>>>>,
-    spans: RwLock<BTreeMap<String, SpanStat>>,
+    spans: RwLock<BTreeMap<&'static str, SpanStat>>,
     /// Completed trace trees, one bounded ring per shard.
     traces: Mutex<BTreeMap<u64, VecDeque<TraceTree>>>,
     /// Recycled span buffers from evicted / discarded traces. At full
@@ -489,15 +492,26 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// The metrics half of [`span`]: stack bookkeeping, registry stat,
 /// timer — no trace join. Assumes `FLAG_METRICS` is set.
 fn metrics_span(name: &'static str) -> SpanGuard {
-    let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    {
-        let r = registry();
+    let parent = SPAN_STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let parent = stack.last().copied();
+        stack.push(name);
+        parent
+    });
+    let r = registry();
+    let counted = match r.spans.read().get(name) {
+        Some(stat) if parent.is_none_or(|p| stat.parents.contains(p)) => {
+            stat.count.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+        _ => false,
+    };
+    if !counted {
         let mut spans = r.spans.write();
-        let stat = spans.entry(name.to_string()).or_default();
-        stat.count += 1;
+        let stat = spans.entry(name).or_default();
+        stat.count.fetch_add(1, Ordering::Relaxed);
         if let Some(p) = parent {
-            stat.parents.insert(p.to_string());
+            stat.parents.insert(p);
         }
     }
     SpanGuard {
@@ -1308,10 +1322,10 @@ pub fn snapshot() -> MetricsSnapshot {
         .iter()
         .map(|(k, s)| {
             (
-                k.clone(),
+                k.to_string(),
                 SpanSummary {
-                    count: s.count,
-                    parents: s.parents.iter().cloned().collect(),
+                    count: s.count.load(Ordering::Relaxed),
+                    parents: s.parents.iter().map(|p| p.to_string()).collect(),
                 },
             )
         })
@@ -1410,6 +1424,21 @@ mod tests {
         assert!(snap.spans["test_span.inner"]
             .parents
             .contains(&"test_span.outer".to_string()));
+    }
+
+    #[test]
+    fn span_stats_count_every_open_under_every_parent() {
+        let _g = TEST_LOCK.lock();
+        for parent in ["test_stat.a", "test_stat.b", "test_stat.a"] {
+            let _p = span(parent);
+            let _c = span("test_stat.child");
+        }
+        let _top = span("test_stat.child");
+        let snap = snapshot();
+        let child = &snap.spans["test_stat.child"];
+        assert_eq!(child.count, 4);
+        assert_eq!(child.parents, vec!["test_stat.a", "test_stat.b"]);
+        assert_eq!(snap.spans["test_stat.a"].count, 2);
     }
 
     #[test]

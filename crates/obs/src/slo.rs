@@ -1,12 +1,12 @@
 //! Declarative SLOs with multi-window burn rates.
 //!
-//! An [`SloSpec`] names a latency objective ("p99 of `engine.dispatch`
-//! ≤ 50µs") and an availability objective ("99.9% of `server.requests`
-//! succeed") over a request/error counter pair. The [`SloEngine`] is
-//! fed periodic registry snapshots ([`SloEngine::tick`]); from the
-//! counter deltas it computes the error rate over a fast and a slow
-//! window and turns each into a **burn rate** — the multiple of the
-//! error budget being consumed:
+//! An [`SloSpec`] names a latency objective ("p99 of one served batch,
+//! `server.dispatch_batch`, ≤ 1ms") and an availability objective
+//! ("99.9% of `server.requests` succeed") over a request/error counter
+//! pair. The [`SloEngine`] is fed periodic registry snapshots
+//! ([`SloEngine::tick`]); from the counter deltas it computes the error
+//! rate over a fast and a slow window and turns each into a **burn
+//! rate** — the multiple of the error budget being consumed:
 //!
 //! ```text
 //! burn = error_rate / (1 − availability_target)
@@ -32,6 +32,18 @@ use serde::Serialize;
 
 use crate::{snapshot, MetricsSnapshot};
 
+/// Root span a `SessionServer` shard opens around every batch it
+/// answers. Spans record a latency histogram under their own name, so
+/// this is an unlabeled series with one sample per batch — the default
+/// objective's latency metric.
+pub const SERVER_BATCH_SPAN: &str = "server.dispatch_batch";
+/// Counter family of requests (events) the server answered, labeled by
+/// `shard` and `degraded`.
+pub const SERVER_REQUESTS: &str = "server.requests";
+/// Counter family of requests the server failed, labeled by `shard`;
+/// every batch adds to it, zero included.
+pub const SERVER_REQUEST_ERRORS: &str = "server.request_errors";
+
 /// One declarative service-level objective.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloSpec {
@@ -54,15 +66,17 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// The serving stack's default objective: p99 engine dispatch ≤ 50µs,
-    /// 99.9% of server requests succeed; 1s fast / 60s slow windows.
+    /// The serving stack's default objective: p99 of one served batch
+    /// ≤ 1ms, 99.9% of server requests succeed; 1s fast / 60s slow
+    /// windows. The latency unit is a whole batch (up to 256 events in
+    /// the benches), not a single event.
     pub fn dispatch_default() -> SloSpec {
         SloSpec {
             name: "dispatch".to_string(),
-            latency_metric: "engine.dispatch".to_string(),
-            latency_p99_us: 50.0,
-            requests_metric: "server.requests".to_string(),
-            errors_metric: "server.request_errors".to_string(),
+            latency_metric: SERVER_BATCH_SPAN.to_string(),
+            latency_p99_us: 1000.0,
+            requests_metric: SERVER_REQUESTS.to_string(),
+            errors_metric: SERVER_REQUEST_ERRORS.to_string(),
             availability: 0.999,
             fast_window_s: 1.0,
             slow_window_s: 60.0,
@@ -471,22 +485,22 @@ mod tests {
         let mut e = SloEngine::new(vec![SloSpec::dispatch_default()]);
         let mut s = snap(100, 0);
         s.histograms.insert(
-            "engine.dispatch".to_string(),
+            SERVER_BATCH_SPAN.to_string(),
             HistogramSummary {
                 unit: Unit::Nanos,
                 count: 100,
-                p50: 10_000.0,
-                p95: 40_000.0,
-                p99: 120_000.0, // 120µs > 50µs objective
-                max: 150_000.0,
-                mean: 15_000.0,
-                sum: 1_500_000.0,
+                p50: 100_000.0,
+                p95: 400_000.0,
+                p99: 1_200_000.0, // 1.2ms > 1ms objective
+                max: 1_500_000.0,
+                mean: 150_000.0,
+                sum: 15_000_000.0,
                 exemplar: None,
             },
         );
         e.observe(s, 1.0);
         let r = e.report();
-        assert!((r.slos[0].latency_observed_us.unwrap() - 120.0).abs() < 1e-6);
+        assert!((r.slos[0].latency_observed_us.unwrap() - 1200.0).abs() < 1e-6);
         assert_eq!(r.slos[0].latency, LatencyState::Over);
     }
 
@@ -500,12 +514,12 @@ mod tests {
         assert_eq!(r.slos[0].latency_observed_us, None);
         assert_eq!(r.slos[0].latency, LatencyState::NoData);
         assert!(r.to_json().contains("\"latency\": \"NoData\""));
-        assert!(r.render().contains("p99 - (target 50.0us, NO DATA)"));
+        assert!(r.render().contains("p99 - (target 1000.0us, NO DATA)"));
 
         // A registered series with no samples is no data either.
         let mut s = snap(200, 0);
         s.histograms.insert(
-            "engine.dispatch".to_string(),
+            SERVER_BATCH_SPAN.to_string(),
             HistogramSummary {
                 unit: Unit::Nanos,
                 count: 0,

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, tests, lints, formatting, and
 # the perf/durability smoke gates. Run from anywhere; operates on the
-# repository root.
+# repository root. The bench smokes write their BENCH_*.json results
+# under target/bench/ and leave the committed files at the root alone;
+# re-record those on purpose with BENCH_RECORD=1 (full mode, no
+# BENCH_QUICK).
 #
 #   scripts/check.sh           full gate (what CI runs)
 #   scripts/check.sh --quick   inner-loop mode: tests + the gated bench
@@ -44,22 +47,24 @@ fi
 echo "==> Dispatch smoke (c1_rule_selection, quick, compiled-tier + batch-lane gates)"
 # Fails if the cold compiled walk is slower than the cold index walk at
 # >= 1000 rules, or the batch lane is slower per event than the
-# per-event loop at batch >= 16; rewrites BENCH_dispatch.json (quick
-# rows, incl. the batch and hot_reload sections).
+# per-event loop at batch >= 16 (rule tracing off or on); writes
+# target/bench/BENCH_dispatch.json (quick rows, incl. the batch and
+# hot_reload sections).
 BENCH_QUICK=1 DISPATCH_GATE=1 cargo bench -p bench --bench c1_rule_selection
 
 echo "==> SLO + WAL smoke (c5_throughput, quick)"
-# Fails if the clean serving run breaches the availability SLO, any
-# durable-write crash + recovery diverges from the acknowledged state,
-# or the binary WAL codec loses its >= 2x size win over JSON; writes
-# BENCH_throughput.json (tracing + slo + durability + wal_encoding
-# sections) and BENCH_slo.json.
+# Fails if the clean serving run breaches the availability SLO or
+# observes no serving latency, any durable-write crash + recovery
+# diverges from the acknowledged state, or the binary WAL codec loses
+# its >= 2x size win over JSON; writes target/bench/BENCH_throughput.json
+# (tracing + slo + durability + wal_encoding sections) and
+# target/bench/BENCH_slo.json.
 BENCH_QUICK=1 SLO_SMOKE=1 WAL_GATE=1 cargo bench -p bench --bench c5_throughput
 
 echo "==> Replication smoke (c7_replication, quick, delta-size + promotion gates)"
 # Fails if the average shipped delta frame exceeds 0.5x the full
 # snapshot frame, or any killed-primary promotion loses an acknowledged
-# durable epoch; writes BENCH_replication.json.
+# durable epoch; writes target/bench/BENCH_replication.json.
 BENCH_QUICK=1 REPLICATION_GATE=1 cargo bench -p bench --bench c7_replication
 
 if [[ "$QUICK" == 0 ]]; then

@@ -490,7 +490,7 @@ fn degradation_is_visible_in_metrics_and_explanation() {
         !degraded.is_empty(),
         "degradation recorded in explanation log"
     );
-    assert!(degraded[0].rendered.contains("degraded"));
+    assert!(degraded[0].rendered().contains("degraded"));
 }
 
 #[test]
