@@ -67,4 +67,4 @@ pub use engine::{
 };
 pub use event::{Event, EventPattern};
 pub use rule::{Action, Callback, Coupling, Guard, Rule, RuleGroup};
-pub use trace::{Trace, TraceEntry};
+pub use trace::{SharedTrace, Trace, TraceEntry};
