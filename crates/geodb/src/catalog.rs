@@ -126,15 +126,24 @@ impl Catalog {
     /// All attributes of a class including inherited ones, parents first
     /// (the order in which the generic Instance window lays out panels).
     pub fn effective_attrs(&self, schema: &str, class: &str) -> Result<Vec<AttrDef>> {
+        Ok(self
+            .effective_attr_refs(schema, class)?
+            .into_iter()
+            .cloned()
+            .collect())
+    }
+
+    /// [`Catalog::effective_attrs`] without copying the definitions.
+    fn effective_attr_refs(&self, schema: &str, class: &str) -> Result<Vec<&AttrDef>> {
         let chain = self.inheritance_chain(schema, class)?;
-        let mut out: Vec<AttrDef> = Vec::new();
+        let mut out: Vec<&AttrDef> = Vec::new();
         for c in chain.iter().rev() {
             for a in &c.attrs {
                 // A subclass redeclaration overrides the inherited attribute.
                 if let Some(slot) = out.iter_mut().find(|e| e.name == a.name) {
-                    *slot = a.clone();
+                    *slot = a;
                 } else {
-                    out.push(a.clone());
+                    out.push(a);
                 }
             }
         }
@@ -195,9 +204,11 @@ impl Catalog {
     }
 
     /// Validate an instance against its class definition: all values must
-    /// type-check and non-optional attributes must be present and non-null.
+    /// type-check, floats and coordinates must be finite (a JSON
+    /// checkpoint could not hold them otherwise), and non-optional
+    /// attributes must be present and non-null.
     pub fn validate_instance(&self, schema: &str, inst: &Instance) -> Result<()> {
-        let attrs = self.effective_attrs(schema, &inst.class)?;
+        let attrs = self.effective_attr_refs(schema, &inst.class)?;
         for a in &attrs {
             let v = inst.values.get(&a.name);
             match v {
@@ -216,6 +227,14 @@ impl Catalog {
                             attribute: a.name.clone(),
                             expected: a.ty.name(),
                             got: v.type_name(),
+                        });
+                    }
+                    if !v.is_finite() {
+                        return Err(GeoDbError::TypeMismatch {
+                            class: inst.class.clone(),
+                            attribute: a.name.clone(),
+                            expected: format!("finite {}", a.ty.name()),
+                            got: format!("non-finite {}", v.type_name()),
                         });
                     }
                 }
@@ -359,6 +378,32 @@ mod tests {
             cat.validate_instance("net", &stray),
             Err(GeoDbError::UnknownAttribute { .. })
         ));
+    }
+
+    #[test]
+    fn validate_instance_refuses_non_finite_values() {
+        let cat = catalog();
+        use crate::geometry::{Geometry, Point};
+        for bad in [
+            Point::new(f64::NAN, 0.0),
+            Point::new(0.0, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, 1.0),
+        ] {
+            let inst = Instance::new(Oid(6), "Pole")
+                .with("element_id", 1i64)
+                .with("pole_location", Geometry::Point(bad));
+            let err = cat.validate_instance("net", &inst).unwrap_err();
+            assert!(
+                err.to_string().contains("non-finite Geometry"),
+                "{bad:?}: {err}"
+            );
+        }
+        let nested = Value::List(vec![Value::Tuple(vec![(
+            "x".into(),
+            Value::Float(f64::NAN),
+        )])]);
+        assert!(!nested.is_finite());
+        assert!(Value::List(vec![Value::Float(1.5)]).is_finite());
     }
 
     #[test]

@@ -1,23 +1,27 @@
-//! The database facade: catalog + extents + spatial indexes + buffer pool,
-//! with the event stream the active mechanism intercepts.
+//! The database facade: the writable head version of the data, with
+//! the event stream the active mechanism intercepts.
+//!
+//! A `Database` holds the one copy of the data. Its class extents are
+//! the copy-on-write partitions ([`crate::partition`]) that published
+//! snapshots share, so a write patches them through `Arc::make_mut` and
+//! copies only what an older snapshot still holds. Queries run the
+//! [`DbSnapshot`] implementation over the same partitions; the
+//! `Database` adds only the `Get_*` events and owned copies of the
+//! rows.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
 use crate::catalog::Catalog;
+use crate::epoch::Epoch;
 use crate::error::{GeoDbError, Result};
 use crate::geometry::Rect;
-use crate::index::{GridIndex, RTree, SpatialIndex};
 use crate::instance::{Instance, Oid};
+use crate::partition::{ClassNames, ClassPartition};
 use crate::query::{DbEvent, Predicate};
 use crate::schema::SchemaDef;
-use crate::storage::{
-    AnyStore, BufferPool, BufferStats, EvictionPolicy, FileStore, HeapFile, MemStore, RecordId,
-};
-use crate::value::Value;
+use crate::store::{DbSnapshot, Methods};
+use crate::value::{AttrType, Value};
 
 /// How a method body fetches the instances its receiver references.
 ///
@@ -25,27 +29,25 @@ use crate::value::Value;
 /// `get_supplier_name(pole_supplier)`), so they need *some* way to turn
 /// an [`Oid`] into an [`Instance`]. Abstracting that behind a trait lets
 /// one registered body serve both the mutable write-path [`Database`]
-/// (which resolves through the buffer pool) and the immutable
-/// [`crate::store::DbSnapshot`] read path (which resolves against the
-/// pinned snapshot, lock-free).
+/// and the immutable [`crate::store::DbSnapshot`] read path (which
+/// resolves against the pinned snapshot, lock-free).
 pub trait RefResolver {
-    /// Fetch an instance by OID without emitting a query event; the
-    /// read path hands out the snapshot's shared handle, not a copy.
+    /// Fetch an instance by OID without emitting a query event; both
+    /// paths hand out the partition's shared handle, not a copy.
     fn resolve(&mut self, oid: Oid) -> Result<Arc<Instance>>;
 }
 
 impl RefResolver for Database {
     fn resolve(&mut self, oid: Oid) -> Result<Arc<Instance>> {
-        self.peek(oid).map(Arc::new)
+        self.head.peek(oid)
     }
 }
 
 /// Native implementation of a schema-declared method.
 ///
 /// Methods receive a [`RefResolver`] (so bodies can fetch referenced
-/// instances — through the buffer pool on the write path, or from a
-/// pinned snapshot on the read path), the receiver instance, and
-/// positional arguments — mirroring the paper's
+/// instances from the database or from a pinned snapshot), the
+/// receiver instance, and positional arguments — mirroring the paper's
 /// `get_supplier_name(pole_supplier)`.
 pub type MethodFn =
     Arc<dyn Fn(&mut dyn RefResolver, &Instance, &[Value]) -> Result<Value> + Send + Sync>;
@@ -82,124 +84,52 @@ pub struct QueryStats {
     pub index_used: bool,
 }
 
-struct Extent {
-    heap: HeapFile,
-    records: HashMap<Oid, RecordId>,
-    /// Insertion order, so extensions list deterministically.
-    order: Vec<Oid>,
-    spatial: Option<Box<dyn SpatialIndex>>,
-    geom_attr: Option<String>,
-    /// Index kind chosen at creation; snapshot capture mirrors it.
-    kind: IndexKind,
-}
-
-impl Extent {
-    fn new(geom_attr: Option<String>, kind: IndexKind) -> Extent {
-        let spatial: Option<Box<dyn SpatialIndex>> = if geom_attr.is_some() {
-            match kind {
-                IndexKind::RTree => Some(Box::new(RTree::new())),
-                IndexKind::Grid { cell } => Some(Box::new(GridIndex::new(cell))),
-                IndexKind::None => None,
-            }
-        } else {
-            None
-        };
-        Extent {
-            heap: HeapFile::new(),
-            records: HashMap::new(),
-            order: Vec::new(),
-            spatial,
-            geom_attr,
-            kind,
-        }
-    }
-}
-
-/// Per-class capture handed to the versioned store when it (re)builds a
-/// [`crate::store::ClassPartition`]: the instances in insertion order
-/// plus what the partition needs to mirror the extent's spatial setup.
-pub(crate) struct ExtentCapture {
-    pub instances: Vec<Instance>,
-    pub geom_attr: Option<String>,
-    pub kind: IndexKind,
-}
-
 /// An object-oriented geographic database.
 pub struct Database {
-    name: String,
-    catalog: Catalog,
-    pool: BufferPool<AnyStore>,
-    extents: HashMap<(String, String), Extent>,
-    /// oid -> (schema, class); the record id lives in the extent.
-    locator: HashMap<Oid, (String, String)>,
+    /// The unpublished head version: the catalog, partitions, locator
+    /// and methods a published snapshot shares by `Arc`.
+    head: DbSnapshot,
     next_oid: u64,
-    methods: HashMap<(String, String), MethodFn>,
     index_kind: IndexKind,
     events: Vec<DbEvent>,
-    subscribers: Vec<Sender<DbEvent>>,
+    /// Events the caller drained while a store write was running; see
+    /// [`Database::begin_journal`].
+    journal: Option<Vec<DbEvent>>,
     last_query: QueryStats,
 }
 
 impl Database {
-    /// Open an in-memory database with a default 256-frame LRU pool.
+    /// Open an empty in-memory database.
     pub fn new(name: impl Into<String>) -> Database {
-        Database::with_pool(name, 256, EvictionPolicy::Lru)
+        Database::with_head(DbSnapshot::empty(&name.into()), 1)
     }
 
-    /// Open with an explicit buffer-pool configuration.
-    pub fn with_pool(name: impl Into<String>, frames: usize, policy: EvictionPolicy) -> Database {
+    /// A private, writable database that shares every partition of a
+    /// pinned snapshot: writes to it copy only the rows they touch and
+    /// never reach the store the snapshot came from (Simulation mode's
+    /// sandbox).
+    pub fn from_snapshot(snap: &DbSnapshot) -> Database {
+        let next_oid = snap.locator.iter().map(|(oid, _)| oid.0 + 1).max();
+        Database::with_head(snap.published(Epoch::ZERO), next_oid.unwrap_or(1))
+    }
+
+    fn with_head(head: DbSnapshot, next_oid: u64) -> Database {
         Database {
-            name: name.into(),
-            catalog: Catalog::new(),
-            pool: BufferPool::new(AnyStore::Mem(MemStore::new()), frames, policy),
-            extents: HashMap::new(),
-            locator: HashMap::new(),
-            next_oid: 1,
-            methods: HashMap::new(),
+            head,
+            next_oid,
             index_kind: IndexKind::RTree,
             events: Vec::new(),
-            subscribers: Vec::new(),
+            journal: None,
             last_query: QueryStats::default(),
         }
     }
 
-    /// Open a database whose pages live in a file. The file stores the
-    /// raw pages; logical state is still checkpointed via
-    /// [`crate::snapshot`] (the page file is a cache/working area, so
-    /// fresh runs rebuild from the snapshot — see DESIGN.md).
-    pub fn on_disk(
-        name: impl Into<String>,
-        path: impl AsRef<std::path::Path>,
-        frames: usize,
-        policy: EvictionPolicy,
-    ) -> Result<Database> {
-        let store = AnyStore::File(FileStore::open(path)?);
-        Ok(Database {
-            name: name.into(),
-            catalog: Catalog::new(),
-            pool: BufferPool::new(store, frames, policy),
-            extents: HashMap::new(),
-            locator: HashMap::new(),
-            next_oid: 1,
-            methods: HashMap::new(),
-            index_kind: IndexKind::RTree,
-            events: Vec::new(),
-            subscribers: Vec::new(),
-            last_query: QueryStats::default(),
-        })
-    }
-
-    /// Flush dirty buffer-pool pages to the backing store.
-    pub fn flush(&mut self) -> Result<()> {
-        self.pool.flush_all()
-    }
-
     pub fn name(&self) -> &str {
-        &self.name
+        self.head.name()
     }
 
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.head.catalog()
     }
 
     /// The OID the next `insert` will allocate. Recorded in WAL commit
@@ -221,35 +151,60 @@ impl Database {
         self.index_kind = kind;
     }
 
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.pool.stats()
-    }
-
-    pub fn reset_buffer_stats(&mut self) {
-        self.pool.reset_stats();
-    }
-
     pub fn last_query_stats(&self) -> QueryStats {
         self.last_query
+    }
+
+    // -- versions ---------------------------------------------------------
+
+    /// The head version published under `epoch`: `Arc` clones only.
+    pub(crate) fn snapshot_at(&self, epoch: Epoch) -> DbSnapshot {
+        self.head.published(epoch)
+    }
+
+    /// A read-only view of the current contents (epoch 0) that shares
+    /// every partition: its reads hand out shared rows and emit no
+    /// events. Later writes to this database do not show through it.
+    pub fn snapshot(&self) -> DbSnapshot {
+        self.snapshot_at(Epoch::ZERO)
+    }
+
+    /// Serve method bodies from a shared registry (replicas reuse the
+    /// primary's bodies; code does not travel in frames).
+    pub(crate) fn set_methods(&mut self, methods: Arc<Methods>) {
+        self.head.methods = methods;
     }
 
     // -- events -----------------------------------------------------------
 
     fn emit(&mut self, e: DbEvent) {
-        self.subscribers.retain(|s| s.send(e.clone()).is_ok());
         self.events.push(e);
     }
 
     /// Events accumulated since the last drain, oldest first.
     pub fn drain_events(&mut self) -> Vec<DbEvent> {
-        std::mem::take(&mut self.events)
+        let drained = std::mem::take(&mut self.events);
+        if let Some(journal) = self.journal.as_mut() {
+            journal.extend(drained.iter().cloned());
+        }
+        drained
     }
 
-    /// Subscribe a channel to the live event stream.
-    pub fn subscribe(&mut self) -> Receiver<DbEvent> {
-        let (tx, rx) = unbounded();
-        self.subscribers.push(tx);
-        rx
+    /// Start recording what a store write emits. Pending events are
+    /// dropped; until [`Database::end_journal`], events the write
+    /// closure drains itself are kept for the commit as well, so a
+    /// helper that empties the queue cannot hide its mutations.
+    pub(crate) fn begin_journal(&mut self) {
+        self.events.clear();
+        self.journal = Some(Vec::new());
+    }
+
+    /// Everything emitted since [`Database::begin_journal`], oldest
+    /// first, drained or not. Stops recording and empties the queue.
+    pub(crate) fn end_journal(&mut self) -> Vec<DbEvent> {
+        let mut journal = self.journal.take().unwrap_or_default();
+        journal.append(&mut self.events);
+        journal
     }
 
     // -- schema -----------------------------------------------------------
@@ -257,24 +212,23 @@ impl Database {
     /// Register a schema and create (empty) extents for its classes.
     pub fn register_schema(&mut self, schema: SchemaDef) -> Result<()> {
         let name = schema.name.clone();
-        let class_info: Vec<(String, Option<String>)> = schema
-            .classes
-            .iter()
-            .map(|c| (c.name.clone(), None))
-            .collect();
-        self.catalog.register(schema)?;
-        for (class, _) in class_info {
+        let classes: Vec<String> = schema.classes.iter().map(|c| c.name.clone()).collect();
+        Arc::make_mut(&mut self.head.catalog).register(schema)?;
+        let parts = Arc::make_mut(&mut self.head.parts);
+        for class in classes {
             // The primary geometry attribute is the first (inherited
             // included) attribute of type Geometry.
             let geom_attr = self
+                .head
                 .catalog
                 .effective_attrs(&name, &class)?
                 .into_iter()
-                .find(|a| a.ty == crate::value::AttrType::Geometry)
+                .find(|a| a.ty == AttrType::Geometry)
                 .map(|a| a.name);
-            self.extents.insert(
-                (name.clone(), class.clone()),
-                Extent::new(geom_attr, self.index_kind),
+            parts.insert(
+                &name,
+                &class,
+                ClassPartition::new(geom_attr, self.index_kind),
             );
         }
         self.emit(DbEvent::SchemaRegistered { schema: name });
@@ -289,157 +243,47 @@ impl Database {
         method: &str,
         f: MethodFn,
     ) -> Result<()> {
-        let methods = self.catalog.effective_methods(schema, class)?;
+        let methods = self.head.catalog.effective_methods(schema, class)?;
         if !methods.iter().any(|m| m.name == method) {
             return Err(GeoDbError::UnknownMethod {
                 class: class.into(),
                 method: method.into(),
             });
         }
-        self.methods
-            .insert((class.to_string(), method.to_string()), f);
+        Arc::make_mut(&mut self.head.methods).insert((class.to_string(), method.to_string()), f);
         Ok(())
     }
 
     /// Invoke a method on an instance.
     pub fn call_method(&mut self, inst: &Instance, method: &str, args: &[Value]) -> Result<Value> {
-        let f = self
-            .methods
-            .get(&(inst.class.clone(), method.to_string()))
-            .cloned()
-            .ok_or_else(|| GeoDbError::UnknownMethod {
-                class: inst.class.clone(),
-                method: method.to_string(),
-            })?;
-        f(self, inst, args)
+        self.head.call_method(inst, method, args)
     }
 
-    // -- data -------------------------------------------------------------
-
-    /// Insert a new instance; returns its OID.
-    pub fn insert(
-        &mut self,
-        schema: &str,
-        class: &str,
-        values: Vec<(String, Value)>,
-    ) -> Result<Oid> {
-        let oid = Oid(self.next_oid);
-        let mut inst = Instance::new(oid, class);
-        for (k, v) in values {
-            inst.values.insert(k, v);
-        }
-        self.catalog.validate_instance(schema, &inst)?;
-
-        let bytes = serde_json::to_vec(&inst)
-            .map_err(|e| GeoDbError::Storage(format!("serialize {oid}: {e}")))?;
-        let geom_bbox = {
-            let extent = self
-                .extents
-                .get(&(schema.to_string(), class.to_string()))
-                .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-            extent
-                .geom_attr
-                .as_ref()
-                .and_then(|a| inst.get(a).as_geometry())
-                .map(|g| g.bbox())
-        };
-
-        // Split borrows: heap insert needs both extent and pool.
-        let pool = &mut self.pool;
-        let extent = self
-            .extents
-            .get_mut(&(schema.to_string(), class.to_string()))
-            .expect("checked above");
-        let rid = extent.heap.insert(pool, &bytes)?;
-        extent.records.insert(oid, rid);
-        extent.order.push(oid);
-        if let (Some(idx), Some(bbox)) = (extent.spatial.as_mut(), geom_bbox) {
-            idx.insert(oid, bbox);
-        }
-
-        self.next_oid += 1;
-        self.locator
-            .insert(oid, (schema.to_string(), class.to_string()));
-        self.emit(DbEvent::Insert {
-            schema: schema.into(),
-            class: class.into(),
-            oid,
-        });
-        Ok(oid)
-    }
-
-    /// Buffer-pool page touches (hits + misses) so far. Read-only: the
-    /// observability hooks report deltas of this without adding pool
-    /// operations of their own.
-    fn pool_touches(&self) -> u64 {
-        let s = self.pool.stats();
-        s.hits + s.misses
-    }
-
-    fn fetch(&mut self, schema: &str, class: &str, oid: Oid) -> Result<Instance> {
-        let pool = &mut self.pool;
-        let extent = self
-            .extents
-            .get(&(schema.to_string(), class.to_string()))
-            .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-        let rid = *extent
-            .records
-            .get(&oid)
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let bytes = extent.heap.get(pool, rid)?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| GeoDbError::Storage(format!("deserialize {oid}: {e}")))
-    }
-
-    /// The `geodb.query` failpoint, consulted by every query primitive:
-    /// lets the fault harness make queries fail (as a storage error) or
-    /// panic without touching real storage.
-    fn query_failpoint() -> Result<()> {
-        faultsim::fire("geodb.query").map_err(|f| GeoDbError::Storage(f.to_string()))
-    }
+    // -- reads ------------------------------------------------------------
 
     /// `Get_Value` primitive: fetch one instance, emitting the event.
     pub fn get_value(&mut self, oid: Oid) -> Result<Instance> {
-        let _span = obs::span("geodb.get_value");
-        Self::query_failpoint()?;
-        let touches0 = self.pool_touches();
-        let (schema, class) = self
-            .locator
-            .get(&oid)
-            .cloned()
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let inst = self.fetch(&schema, &class, oid)?;
-        self.emit(DbEvent::GetValue { schema, class, oid });
-        if obs::enabled() {
-            obs::counter_add("geodb.queries", 1);
-            obs::counter_add("geodb.instances_fetched", 1);
-            obs::counter_add(
-                "geodb.pages_touched",
-                self.pool_touches().saturating_sub(touches0),
-            );
-        }
-        Ok(inst)
+        let inst = self.head.get_value(oid)?;
+        let (schema, class) = self.located(oid)?;
+        self.emit(DbEvent::GetValue {
+            schema: schema.to_string(),
+            class: class.to_string(),
+            oid,
+        });
+        Ok((*inst).clone())
     }
 
     /// Fetch without emitting an event (internal plumbing, rendering).
     pub fn peek(&mut self, oid: Oid) -> Result<Instance> {
-        let (schema, class) = self
-            .locator
-            .get(&oid)
-            .cloned()
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        self.fetch(&schema, &class, oid)
+        self.head.peek(oid).map(|inst| (*inst).clone())
     }
 
     /// `Get_Schema` primitive: schema metadata, emitting the event.
     pub fn get_schema(&mut self, schema: &str) -> Result<SchemaDef> {
-        let _span = obs::span("geodb.get_schema");
-        Self::query_failpoint()?;
-        let def = self.catalog.schema(schema)?.clone();
+        let def = self.head.get_schema(schema)?;
         self.emit(DbEvent::GetSchema {
             schema: schema.into(),
         });
-        obs::counter_add("geodb.queries", 1);
         Ok(def)
     }
 
@@ -451,103 +295,19 @@ impl Database {
         class: &str,
         with_subclasses: bool,
     ) -> Result<Vec<Instance>> {
-        let _span = obs::span("geodb.get_class");
-        Self::query_failpoint()?;
-        let touches0 = self.pool_touches();
-        // Validate the class exists even when its extent is empty.
-        self.catalog.class(schema, class)?;
-        let mut classes = vec![class.to_string()];
-        if with_subclasses {
-            let mut queue = vec![class.to_string()];
-            while let Some(c) = queue.pop() {
-                for sub in self.catalog.subclasses(schema, &c)? {
-                    classes.push(sub.name.clone());
-                    queue.push(sub.name.clone());
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for c in &classes {
-            let oids: Vec<Oid> = self
-                .extents
-                .get(&(schema.to_string(), c.clone()))
-                .map(|e| e.order.clone())
-                .unwrap_or_default();
-            for oid in oids {
-                out.push(self.fetch(schema, c, oid)?);
-            }
-        }
+        let rows = self.head.get_class(schema, class, with_subclasses)?;
         self.emit(DbEvent::GetClass {
             schema: schema.into(),
             class: class.into(),
         });
-        if obs::enabled() {
-            obs::counter_add("geodb.queries", 1);
-            obs::counter_add("geodb.instances_fetched", out.len() as u64);
-            obs::counter_add(
-                "geodb.pages_touched",
-                self.pool_touches().saturating_sub(touches0),
-            );
-        }
-        Ok(out)
+        Ok(owned(&rows))
     }
 
     /// Selection with optional spatial-index acceleration.
     pub fn select(&mut self, schema: &str, class: &str, pred: &Predicate) -> Result<Vec<Instance>> {
-        let _span = obs::span("geodb.select");
-        Self::query_failpoint()?;
-        let touches0 = self.pool_touches();
-        self.catalog.class(schema, class)?;
-        let key = (schema.to_string(), class.to_string());
-        let window = pred.index_window();
-
-        let (candidates, index_used): (Vec<Oid>, bool) = {
-            let extent = self
-                .extents
-                .get(&key)
-                .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-            match (&extent.spatial, &window) {
-                (Some(idx), Some((attr, rect)))
-                    if Some(attr.as_str()) == extent.geom_attr.as_deref() =>
-                {
-                    (idx.query_rect(rect), true)
-                }
-                _ => (extent.order.clone(), false),
-            }
-        };
-
-        let mut out = Vec::new();
-        let n_candidates = candidates.len();
-        for oid in candidates {
-            let inst = self.fetch(schema, class, oid)?;
-            if pred.eval(&inst) {
-                out.push(inst);
-            }
-        }
-        // Deterministic order regardless of index traversal order.
-        out.sort_by_key(|i| i.oid);
-        self.last_query = QueryStats {
-            candidates: n_candidates,
-            returned: out.len(),
-            index_used,
-        };
-        if obs::enabled() {
-            obs::counter_add("geodb.queries", 1);
-            obs::counter_add("geodb.instances_fetched", n_candidates as u64);
-            obs::counter_add(
-                "geodb.pages_touched",
-                self.pool_touches().saturating_sub(touches0),
-            );
-            obs::counter_add(
-                if index_used {
-                    "geodb.index_hits"
-                } else {
-                    "geodb.index_scans"
-                },
-                1,
-            );
-        }
-        Ok(out)
+        let (rows, stats) = self.head.select_with_stats(schema, class, pred)?;
+        self.last_query = stats;
+        Ok(owned(&rows))
     }
 
     /// Aggregate an attribute over the (optionally filtered) extension.
@@ -562,7 +322,8 @@ impl Database {
         agg: Aggregate,
         pred: &Predicate,
     ) -> Result<Value> {
-        let rows = self.select(schema, class, pred)?;
+        let (rows, stats) = self.head.select_with_stats(schema, class, pred)?;
+        self.last_query = stats;
         aggregate_rows(&rows, path, agg)
     }
 
@@ -576,252 +337,195 @@ impl Database {
         p: crate::geometry::Point,
         k: usize,
     ) -> Result<Vec<Instance>> {
-        self.catalog.class(schema, class)?;
-        let key = (schema.to_string(), class.to_string());
-        let extent = self
-            .extents
-            .get(&key)
-            .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-        let geom_attr = extent.geom_attr.clone().ok_or_else(|| {
-            GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
-        })?;
-        // Over-fetch from the index (bbox distance underestimates true
-        // distance, so 2k candidates then exact re-rank is safe for point
-        // data and a good heuristic otherwise).
-        let candidates: Vec<Oid> = match &extent.spatial {
-            Some(idx) => idx.nearest(&p, (2 * k).max(8)),
-            None => extent.order.clone(),
-        };
-        let mut ranked: Vec<(f64, Instance)> = Vec::with_capacity(candidates.len());
-        for oid in candidates {
-            let inst = self.fetch(schema, class, oid)?;
-            if let Some(g) = inst.get(&geom_attr).as_geometry() {
-                ranked.push((g.distance_to_point(&p), inst));
-            }
-        }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ranked.truncate(k);
-        Ok(ranked.into_iter().map(|(_, i)| i).collect())
+        Ok(owned(&self.head.nearest(schema, class, p, k)?))
     }
 
     /// Spatial window shortcut: everything whose geometry intersects `rect`.
     pub fn window_query(&mut self, schema: &str, class: &str, rect: Rect) -> Result<Vec<Instance>> {
-        let attr = {
-            let extent = self
-                .extents
-                .get(&(schema.to_string(), class.to_string()))
-                .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-            extent.geom_attr.clone().ok_or_else(|| {
-                GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
-            })?
-        };
-        self.select(schema, class, &Predicate::IntersectsRect { attr, rect })
-    }
-
-    /// Update named attributes of an instance.
-    pub fn update(&mut self, oid: Oid, changes: Vec<(String, Value)>) -> Result<()> {
-        let (schema, class) = self
-            .locator
-            .get(&oid)
-            .cloned()
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let mut inst = self.fetch(&schema, &class, oid)?;
-        for (k, v) in changes {
-            inst.values.insert(k, v);
-        }
-        self.catalog.validate_instance(&schema, &inst)?;
-        let bytes = serde_json::to_vec(&inst)
-            .map_err(|e| GeoDbError::Storage(format!("serialize {oid}: {e}")))?;
-
-        let geom_bbox = {
-            let extent = self
-                .extents
-                .get(&(schema.clone(), class.clone()))
-                .expect("located extent exists");
-            extent
-                .geom_attr
-                .as_ref()
-                .and_then(|a| inst.get(a).as_geometry())
-                .map(|g| g.bbox())
-        };
-        let pool = &mut self.pool;
-        let extent = self
-            .extents
-            .get_mut(&(schema.clone(), class.clone()))
-            .expect("located extent exists");
-        let rid = *extent
-            .records
-            .get(&oid)
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let new_rid = extent.heap.update(pool, rid, &bytes)?;
-        extent.records.insert(oid, new_rid);
-        if let Some(idx) = extent.spatial.as_mut() {
-            idx.remove(oid);
-            if let Some(bbox) = geom_bbox {
-                idx.insert(oid, bbox);
-            }
-        }
-        self.emit(DbEvent::Update { schema, class, oid });
-        Ok(())
-    }
-
-    /// Delete an instance.
-    pub fn delete(&mut self, oid: Oid) -> Result<()> {
-        let (schema, class) = self
-            .locator
-            .remove(&oid)
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let pool = &mut self.pool;
-        let extent = self
-            .extents
-            .get_mut(&(schema.clone(), class.clone()))
-            .expect("located extent exists");
-        let rid = extent
-            .records
-            .remove(&oid)
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        extent.heap.delete(pool, rid)?;
-        extent.order.retain(|o| *o != oid);
-        if let Some(idx) = extent.spatial.as_mut() {
-            idx.remove(oid);
-        }
-        self.emit(DbEvent::Delete { schema, class, oid });
-        Ok(())
+        let pred = self.head.window_predicate(schema, class, rect)?;
+        self.select(schema, class, &pred)
     }
 
     /// All schema definitions, for snapshots and the weak-integration
     /// protocol.
     pub fn schemas(&self) -> Vec<SchemaDef> {
-        self.catalog
-            .schema_names()
-            .into_iter()
-            .map(|n| self.catalog.schema(n).expect("listed schema").clone())
-            .collect()
+        self.head.schemas()
     }
 
     /// Schema and class of a stored object.
     pub fn locate(&self, oid: Oid) -> Option<(&str, &str)> {
-        self.locator
-            .get(&oid)
-            .map(|(s, c)| (s.as_str(), c.as_str()))
+        self.head.locate(oid)
     }
 
     /// Every stored object with its schema, in OID order (snapshot dump).
     pub fn dump_objects(&mut self) -> Result<Vec<(String, Instance)>> {
-        let mut oids: Vec<(Oid, String, String)> = self
-            .locator
-            .iter()
-            .map(|(o, (s, c))| (*o, s.clone(), c.clone()))
-            .collect();
-        oids.sort_by_key(|(o, _, _)| *o);
-        let mut out = Vec::with_capacity(oids.len());
-        for (oid, schema, class) in oids {
-            let inst = self.fetch(&schema, &class, oid)?;
-            out.push((schema, inst));
-        }
-        Ok(out)
-    }
-
-    /// Restore an instance with its original OID (snapshot load path).
-    pub fn restore_instance(&mut self, schema: &str, inst: Instance) -> Result<()> {
-        if self.locator.contains_key(&inst.oid) {
-            return Err(GeoDbError::Duplicate(format!("oid {}", inst.oid)));
-        }
-        self.catalog.validate_instance(schema, &inst)?;
-        let oid = inst.oid;
-        let class = inst.class.clone();
-        let bytes = serde_json::to_vec(&inst)
-            .map_err(|e| GeoDbError::Storage(format!("serialize {oid}: {e}")))?;
-        let geom_bbox = {
-            let extent = self
-                .extents
-                .get(&(schema.to_string(), class.clone()))
-                .ok_or_else(|| GeoDbError::UnknownClass(class.clone()))?;
-            extent
-                .geom_attr
-                .as_ref()
-                .and_then(|a| inst.get(a).as_geometry())
-                .map(|g| g.bbox())
-        };
-        let pool = &mut self.pool;
-        let extent = self
-            .extents
-            .get_mut(&(schema.to_string(), class.clone()))
-            .expect("checked above");
-        let rid = extent.heap.insert(pool, &bytes)?;
-        extent.records.insert(oid, rid);
-        extent.order.push(oid);
-        if let (Some(idx), Some(bbox)) = (extent.spatial.as_mut(), geom_bbox) {
-            idx.insert(oid, bbox);
-        }
-        self.locator
-            .insert(oid, (schema.to_string(), class.clone()));
-        self.next_oid = self.next_oid.max(oid.0 + 1);
-        Ok(())
+        Ok(self
+            .head
+            .dump_objects()
+            .into_iter()
+            .map(|(schema, inst)| (schema.to_string(), (*inst).clone()))
+            .collect())
     }
 
     /// Number of stored instances of a class (own extent only).
     pub fn extent_size(&self, schema: &str, class: &str) -> usize {
-        self.extents
-            .get(&(schema.to_string(), class.to_string()))
-            .map(|e| e.records.len())
-            .unwrap_or(0)
+        self.head.extent_size(schema, class)
     }
 
-    // -- versioned-store capture hooks ------------------------------------
-    //
-    // The COW snapshot layer (`crate::store`) maintains an immutable
-    // per-class mirror of this database. These pub(crate) accessors are
-    // the only surface it needs: enumerate extents, capture one class,
-    // fetch one instance, and clone the method registry.
+    // -- writes -----------------------------------------------------------
 
-    /// Keys of every extent, in deterministic order.
-    pub(crate) fn extent_keys(&self) -> Vec<(String, String)> {
-        let mut keys: Vec<_> = self.extents.keys().cloned().collect();
-        keys.sort();
-        keys
+    /// The interned names of a stored object's class.
+    fn located(&self, oid: Oid) -> Result<ClassNames> {
+        self.head
+            .locator
+            .get(oid)
+            .cloned()
+            .ok_or(GeoDbError::UnknownOid(oid.0))
     }
 
-    /// Capture a whole class extent (instances in insertion order plus
-    /// the spatial configuration a partition must mirror).
-    pub(crate) fn capture_extent(&mut self, schema: &str, class: &str) -> Result<ExtentCapture> {
-        let key = (schema.to_string(), class.to_string());
-        let (order, geom_attr, kind) = {
-            let extent = self
-                .extents
-                .get(&key)
-                .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
-            (extent.order.clone(), extent.geom_attr.clone(), extent.kind)
-        };
-        let mut instances = Vec::with_capacity(order.len());
-        for oid in order {
-            instances.push(self.fetch(schema, class, oid)?);
-        }
-        Ok(ExtentCapture {
-            instances,
-            geom_attr,
-            kind,
-        })
-    }
-
-    /// Fetch one instance without emitting an event (store sync path).
-    pub(crate) fn fetch_instance(
+    /// The partition of (schema, class), copied first if a snapshot
+    /// still shares it, with its interned names.
+    fn partition_mut(
         &mut self,
         schema: &str,
         class: &str,
-        oid: Oid,
-    ) -> Result<Instance> {
-        self.fetch(schema, class, oid)
+    ) -> Result<(ClassNames, &mut ClassPartition)> {
+        if self.head.parts.get(schema, class).is_none() {
+            return Err(GeoDbError::UnknownClass(class.to_string()));
+        }
+        let parts = Arc::make_mut(&mut self.head.parts);
+        let (names, part) = parts.entry_mut(schema, class).expect("checked above");
+        Ok((names.clone(), Arc::make_mut(part)))
     }
 
-    /// Clone of the method registry (snapshots share the same bodies).
-    pub(crate) fn methods_map(&self) -> HashMap<(String, String), MethodFn> {
-        self.methods.clone()
+    /// Store a validated row in its class extent: a held row is replaced
+    /// in place, a new one is appended and located.
+    fn put(&mut self, schema: &str, inst: Instance) -> Result<()> {
+        let oid = inst.oid;
+        let (names, part) = self.partition_mut(schema, &inst.class)?;
+        if part.upsert(Arc::new(inst)).is_none() {
+            Arc::make_mut(&mut self.head.locator).insert(oid, names);
+        }
+        Ok(())
+    }
+
+    /// Insert a new instance; returns its OID.
+    pub fn insert(
+        &mut self,
+        schema: &str,
+        class: &str,
+        values: Vec<(String, Value)>,
+    ) -> Result<Oid> {
+        let oid = Oid(self.next_oid);
+        let mut inst = Instance::new(oid, class);
+        for (k, v) in values {
+            inst.values.insert(k, v);
+        }
+        self.head.catalog.validate_instance(schema, &inst)?;
+        self.put(schema, inst)?;
+        self.next_oid += 1;
+        self.emit(DbEvent::Insert {
+            schema: schema.into(),
+            class: class.into(),
+            oid,
+        });
+        Ok(oid)
+    }
+
+    /// Update named attributes of an instance.
+    pub fn update(&mut self, oid: Oid, changes: Vec<(String, Value)>) -> Result<()> {
+        let (schema, class) = self.located(oid)?;
+        let mut inst = (*self.head.peek(oid)?).clone();
+        for (k, v) in changes {
+            inst.values.insert(k, v);
+        }
+        self.head.catalog.validate_instance(&schema, &inst)?;
+        self.put(&schema, inst)?;
+        self.emit(DbEvent::Update {
+            schema: schema.to_string(),
+            class: class.to_string(),
+            oid,
+        });
+        Ok(())
+    }
+
+    /// Delete an instance.
+    pub fn delete(&mut self, oid: Oid) -> Result<()> {
+        let (schema, class) = self.located(oid)?;
+        let (_, part) = self.partition_mut(&schema, &class)?;
+        part.remove(oid).ok_or(GeoDbError::UnknownOid(oid.0))?;
+        Arc::make_mut(&mut self.head.locator).remove(oid);
+        self.emit(DbEvent::Delete {
+            schema: schema.to_string(),
+            class: class.to_string(),
+            oid,
+        });
+        Ok(())
+    }
+
+    /// Restore an instance with its original OID (snapshot load path).
+    pub fn restore_instance(&mut self, schema: &str, inst: Instance) -> Result<()> {
+        if self.head.locator.get(inst.oid).is_some() {
+            return Err(GeoDbError::Duplicate(format!("oid {}", inst.oid)));
+        }
+        self.head.catalog.validate_instance(schema, &inst)?;
+        let oid = inst.oid;
+        self.put(schema, inst)?;
+        self.next_oid = self.next_oid.max(oid.0 + 1);
+        Ok(())
+    }
+
+    /// Replay a post-image: the row replaces the stored one wholesale
+    /// and keeps its place in the extension, or is restored if absent
+    /// (WAL replay).
+    pub(crate) fn put_post_image(&mut self, schema: &str, inst: Instance) -> Result<()> {
+        match self.head.locate(inst.oid) {
+            Some((s, c)) if s == schema && c == inst.class => {
+                self.head.catalog.validate_instance(schema, &inst)?;
+                self.put(schema, inst)
+            }
+            Some(_) => {
+                self.delete(inst.oid)?;
+                self.restore_instance(schema, inst)
+            }
+            None => self.restore_instance(schema, inst),
+        }
+    }
+
+    /// Replace a class extent wholesale with shipped rows, in the order
+    /// given (a replica applying a delta frame).
+    pub(crate) fn install_partition(
+        &mut self,
+        schema: &str,
+        class: &str,
+        rows: Vec<Arc<Instance>>,
+    ) -> Result<()> {
+        let max_oid = rows.iter().map(|r| r.oid.0 + 1).max().unwrap_or(0);
+        let parts = Arc::make_mut(&mut self.head.parts);
+        let (names, slot) = parts
+            .entry_mut(schema, class)
+            .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))?;
+        let fresh = slot.with_rows(rows);
+        let locator = Arc::make_mut(&mut self.head.locator);
+        for oid in slot.oids() {
+            locator.remove(*oid);
+        }
+        for oid in fresh.oids() {
+            locator.insert(*oid, names.clone());
+        }
+        *slot = Arc::new(fresh);
+        self.next_oid = self.next_oid.max(max_oid);
+        Ok(())
     }
 }
 
+/// Owned copies of shared rows (the `Database` read API).
+fn owned(rows: &[Arc<Instance>]) -> Vec<Instance> {
+    rows.iter().map(|r| (**r).clone()).collect()
+}
+
 /// The aggregation reducer shared by [`Database::aggregate`] and the
-/// versioned store's snapshot-side aggregate.
+/// snapshot-side aggregate.
 pub(crate) fn aggregate_rows<R: Borrow<Instance>>(
     rows: &[R],
     path: &str,
@@ -879,9 +583,9 @@ pub(crate) fn aggregate_rows<R: Borrow<Instance>>(
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("name", &self.name)
-            .field("schemas", &self.catalog.schema_names())
-            .field("objects", &self.locator.len())
+            .field("name", &self.name())
+            .field("schemas", &self.catalog().schema_names())
+            .field("objects", &self.head.object_count())
             .finish()
     }
 }
@@ -958,7 +662,6 @@ mod tests {
     #[test]
     fn events_flow_in_order() {
         let mut db = db_with_poles(1);
-        let rx = db.subscribe();
         db.get_schema("net").unwrap();
         let poles = db.get_class("net", "Pole", false).unwrap();
         db.get_value(poles[0].oid).unwrap();
@@ -971,8 +674,6 @@ mod tests {
                 DbEventKind::GetValue
             ]
         );
-        // Channel subscriber saw the same stream.
-        assert_eq!(rx.try_iter().count(), 3);
     }
 
     #[test]
@@ -1118,15 +819,6 @@ mod tests {
             .is_err());
         assert!(db.call_method(&poles[0], "unregistered", &[]).is_err());
     }
-
-    #[test]
-    fn buffer_stats_reflect_access() {
-        let mut db = db_with_poles(200);
-        db.reset_buffer_stats();
-        db.get_class("net", "Pole", false).unwrap();
-        let s = db.buffer_stats();
-        assert!(s.hits + s.misses > 0);
-    }
 }
 
 #[cfg(test)]
@@ -1210,60 +902,6 @@ mod nearest_tests {
         let all = db.nearest("s", "P", Point::ORIGIN, 1000).unwrap();
         assert!(all.len() <= 100);
         assert!(all.len() >= 8, "over-fetch floor returns at least 8");
-    }
-}
-
-#[cfg(test)]
-mod disk_tests {
-    use super::*;
-    use crate::geometry::{Geometry, Point};
-    use crate::schema::{ClassDef, SchemaDef};
-    use crate::value::AttrType;
-
-    #[test]
-    fn on_disk_database_round_trips_data() {
-        let path = std::env::temp_dir().join(format!(
-            "geodb-disk-{}-{}.pages",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut db = Database::on_disk("disk", &path, 4, EvictionPolicy::Lru).unwrap();
-        db.register_schema(
-            SchemaDef::new("s").class(
-                ClassDef::new("P")
-                    .attr("n", AttrType::Int)
-                    .attr("loc", AttrType::Geometry),
-            ),
-        )
-        .unwrap();
-        // More data than the 4-frame pool holds: pages cycle through disk.
-        let mut oids = Vec::new();
-        for i in 0..200i64 {
-            oids.push(
-                db.insert(
-                    "s",
-                    "P",
-                    vec![
-                        ("n".into(), Value::Int(i)),
-                        (
-                            "loc".into(),
-                            Geometry::Point(Point::new(i as f64, 0.0)).into(),
-                        ),
-                    ],
-                )
-                .unwrap(),
-            );
-        }
-        db.flush().unwrap();
-        // Every record reads back correctly through the tiny pool.
-        for (i, oid) in oids.iter().enumerate() {
-            let inst = db.peek(*oid).unwrap();
-            assert_eq!(inst.get("n"), &Value::Int(i as i64));
-        }
-        assert!(db.buffer_stats().evictions > 0, "pool must have cycled");
-        assert!(path.metadata().unwrap().len() > 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }
 

@@ -38,6 +38,17 @@ impl Geometry {
         }
     }
 
+    /// True when every coordinate is finite (JSON has no NaN or
+    /// infinity, so snapshots could not hold anything else).
+    pub fn is_finite(&self) -> bool {
+        let points: &[Point] = match self {
+            Geometry::Point(p) => std::slice::from_ref(p),
+            Geometry::Polyline(l) => l.points(),
+            Geometry::Polygon(p) => p.ring(),
+        };
+        points.iter().all(|p| p.x.is_finite() && p.y.is_finite())
+    }
+
     /// Tight axis-aligned bounding box.
     pub fn bbox(&self) -> Rect {
         match self {

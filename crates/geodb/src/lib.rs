@@ -10,8 +10,12 @@
 //!   method signatures ([`schema`], [`value`], [`instance`], [`catalog`]);
 //! * planar **spatial types** and operations ([`geometry`]);
 //! * **spatial indexes**: an R-tree and a uniform grid ([`index`]);
-//! * a **storage engine**: slotted pages, heap files with overflow chains,
-//!   and a buffer pool with LRU/clock eviction ([`storage`]);
+//! * **copy-on-write class partitions**, the one copy of the data that
+//!   the mutable [`Database`] patches and every published snapshot
+//!   shares (`partition`);
+//! * a **page store**: slotted pages, heap files with overflow chains,
+//!   and a buffer pool with LRU/clock eviction ([`storage`]), driven by
+//!   the buffer experiment (C3);
 //! * **query primitives** — `Get_Schema`, `Get_Class`, `Get_Value` plus
 //!   predicate selection — and the [`query::DbEvent`] stream the active
 //!   mechanism intercepts ([`query`], [`db`]);
@@ -47,6 +51,7 @@ pub mod gen;
 pub mod geometry;
 pub mod index;
 pub mod instance;
+mod partition;
 pub mod query;
 pub mod repl;
 pub mod schema;

@@ -1,11 +1,12 @@
 //! Whole-database snapshots.
 //!
 //! Persistence serializes the *logical* state (schemas + instances) as
-//! JSON rather than the physical pages: the snapshot stays readable,
-//! version-tolerant, and independent of page-layout changes. Loading
-//! rebuilds extents, indexes and the buffer pool from scratch.
+//! JSON: the snapshot stays readable and version-tolerant. Saving hands
+//! the partitions' shared rows to the encoder without copying them;
+//! loading rebuilds extents and indexes from scratch.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,17 +30,17 @@ pub(crate) struct SnapshotDoc {
     name: String,
     schemas: Vec<SchemaDef>,
     /// `(schema, instance)` pairs in OID order.
-    objects: Vec<(String, Instance)>,
+    objects: Vec<(Arc<str>, Arc<Instance>)>,
 }
 
 /// Build the document from a mutable database (write-side state).
-pub(crate) fn doc_from_db(db: &mut Database) -> Result<SnapshotDoc> {
-    Ok(SnapshotDoc {
+pub(crate) fn doc_from_db(db: &Database) -> SnapshotDoc {
+    SnapshotDoc {
         version: VERSION,
         name: db.name().to_string(),
         schemas: db.schemas(),
-        objects: db.dump_objects()?,
-    })
+        objects: db.snapshot().dump_objects(),
+    }
 }
 
 /// Build the document from a pinned snapshot (read-side state).
@@ -53,8 +54,49 @@ pub(crate) fn doc_from_snapshot(snap: &DbSnapshot) -> SnapshotDoc {
 }
 
 /// The shared encoder: one JSON shape for every save path.
+///
+/// The output is exactly `serde_json::to_string_pretty(doc)`, but built
+/// one part at a time: each object's serialization tree is dropped
+/// before the next one is built, so a save (a checkpoint every
+/// `checkpoint_every` commits) holds one row's tree beside the output
+/// instead of a tree of the whole store.
 pub(crate) fn doc_to_json(doc: &SnapshotDoc) -> Result<String> {
-    serde_json::to_string_pretty(doc).map_err(|e| GeoDbError::Snapshot(e.to_string()))
+    let mut out = String::from("{\n  \"version\": ");
+    push_pretty(&mut out, &doc.version, 1)?;
+    out.push_str(",\n  \"name\": ");
+    push_pretty(&mut out, &doc.name, 1)?;
+    out.push_str(",\n  \"schemas\": ");
+    push_pretty(&mut out, &doc.schemas, 1)?;
+    out.push_str(",\n  \"objects\": ");
+    if doc.objects.is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push('[');
+        for (i, object) in doc.objects.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            push_pretty(&mut out, object, 2)?;
+        }
+        out.push_str("\n  ]");
+    }
+    out.push_str("\n}");
+    Ok(out)
+}
+
+/// Append `value` pretty-printed as if nested `level` deep: every line
+/// after the first gains the enclosing indentation (JSON strings escape
+/// their newlines, so each raw newline starts a line of the layout).
+fn push_pretty<T: Serialize + ?Sized>(out: &mut String, value: &T, level: usize) -> Result<()> {
+    let text =
+        serde_json::to_string_pretty(value).map_err(|e| GeoDbError::Snapshot(e.to_string()))?;
+    let indent = "  ".repeat(level);
+    for (i, line) in text.split('\n').enumerate() {
+        if i > 0 {
+            out.push('\n');
+            out.push_str(&indent);
+        }
+        out.push_str(line);
+    }
+    Ok(())
 }
 
 /// The shared decoder: version-check the document and rebuild a
@@ -74,6 +116,7 @@ pub(crate) fn db_from_doc(doc: SnapshotDoc) -> Result<Database> {
         db.register_schema(schema)?;
     }
     for (schema, inst) in doc.objects {
+        let inst = Arc::try_unwrap(inst).unwrap_or_else(|shared| (*shared).clone());
         db.restore_instance(&schema, inst)?;
     }
     db.drain_events();
@@ -82,7 +125,7 @@ pub(crate) fn db_from_doc(doc: SnapshotDoc) -> Result<Database> {
 
 /// Serialize a database to a JSON string.
 pub fn save(db: &mut Database) -> Result<String> {
-    doc_to_json(&doc_from_db(db)?)
+    doc_to_json(&doc_from_db(db))
 }
 
 /// Serialize a pinned in-memory snapshot to a JSON string.
@@ -279,6 +322,37 @@ mod tests {
         let cities = fresh.snapshot().get_class("s", "City", false).unwrap();
         assert_eq!(cities.len(), 2);
         assert_eq!(cities[0].get("name"), &Value::Text("Campinas".into()));
+    }
+
+    #[test]
+    fn part_by_part_encoding_matches_the_whole_document() {
+        let mut db = sample_db();
+        db.insert(
+            "s",
+            "City",
+            vec![
+                ("name".into(), "line one\nline two".into()),
+                (
+                    "center".into(),
+                    Geometry::Point(Point::new(1.0, 2.0)).into(),
+                ),
+            ],
+        )
+        .unwrap();
+        let doc = doc_from_db(&db);
+        let whole = serde_json::to_string_pretty(&doc).unwrap();
+        assert_eq!(doc_to_json(&doc).unwrap(), whole);
+        let (db, _) = crate::gen::phone_net_db(&crate::gen::TelecomConfig::small()).unwrap();
+        let doc = doc_from_db(&db);
+        assert_eq!(
+            doc_to_json(&doc).unwrap(),
+            serde_json::to_string_pretty(&doc).unwrap()
+        );
+        let empty = doc_from_db(&Database::new("empty"));
+        assert_eq!(
+            doc_to_json(&empty).unwrap(),
+            serde_json::to_string_pretty(&empty).unwrap()
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Storage layer: slotted pages, page stores, the buffer pool, and heap
-//! files. Persistence of a whole database is handled by
-//! [`crate::snapshot`], which serializes the logical state rather than the
-//! physical pages.
+//! The page store: slotted pages, page stores, the buffer pool, and heap
+//! files. The buffer experiment (C3, `c3_buffer_spatial`) drives it
+//! directly; a [`crate::db::Database`] keeps its rows in memory-resident
+//! copy-on-write partitions instead, and persistence of a whole database
+//! is handled by [`crate::snapshot`], which serializes the logical state.
 
 pub mod buffer;
 pub mod heap;

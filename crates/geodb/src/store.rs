@@ -7,18 +7,17 @@
 //!
 //! * [`DbSnapshot`] — an immutable point-in-time view (catalog + class
 //!   partitions + spatial indexes + locator), structurally shared via
-//!   `Arc` per class so a write clones only the touched class, never the
-//!   world. All query primitives (`get_schema` / `get_class` /
+//!   `Arc`. All query primitives (`get_schema` / `get_class` /
 //!   `get_value` / `select` / `aggregate` / `nearest` / `window_query`)
 //!   run against it without locks or `&mut`, and row reads hand out the
 //!   partitions' own `Arc<Instance>` handles: a published instance is
 //!   never mutated, a write replaces its `Arc`.
-//! * [`DbStore`] — the shared handle: a serialized writer (the one
-//!   mutable [`Database`] lives inside it) that watches the database's
-//!   own event stream through a subscription, rebuilds exactly the
-//!   dirty partitions after each write, and publishes the next snapshot
-//!   under a new epoch (`Mutex<Arc<DbSnapshot>>` slot + `AtomicU64`
-//!   epoch).
+//! * [`DbStore`] — the shared handle: a serialized writer around the one
+//!   mutable [`Database`], whose class partitions *are* the data. A
+//!   write patches them copy-on-write (`crate::partition`), and
+//!   publishing the next epoch clones the head's catalog, partition,
+//!   locator and method `Arc`s into a snapshot (`Mutex<Arc<DbSnapshot>>`
+//!   slot + `AtomicU64` epoch). There is no second copy to sync.
 //! * [`DbReader`] — a per-session pin: one `Acquire` epoch load per
 //!   request; the published slot's lock is taken only when the epoch
 //!   actually moved.
@@ -61,10 +60,8 @@
 //! lives in a role-agnostic [`ReadCore`] shared by two owners: the
 //! *primary* [`DbStore`] (which adds the writer, WAL and group commit)
 //! and the *replica* [`crate::repl::ReplicaStore`] (which publishes
-//! epochs applied from shipped deltas). [`DbReader`] pins work
-//! identically against either role. Likewise the writer's partition
-//! mirror ([`Mirror`]) — catalog, partitions, locator — is the shared
-//! machinery replicas use to rebuild snapshots from applied frames.
+//! epochs applied from shipped deltas into its own [`Database`]).
+//! [`DbReader`] pins work identically against either role.
 //!
 //! Lock order (outermost first): `writer` → `wal` → `commit` →
 //! `published` → `retained` → `pins`. Any code path taking two of
@@ -72,189 +69,30 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
-
 use crate::catalog::Catalog;
-use crate::db::{
-    aggregate_rows, Aggregate, Database, IndexKind, MethodFn, QueryStats, RefResolver,
-};
+use crate::db::{aggregate_rows, Aggregate, Database, MethodFn, QueryStats, RefResolver};
 use crate::epoch::Epoch;
 use crate::error::{GeoDbError, Result};
 use crate::geometry::{Point, Rect};
-use crate::index::{GridIndex, RTree, SpatialIndex};
 use crate::instance::{Instance, Oid};
+use crate::partition::{ClassNames, ClassPartition, OidMap, Partitions};
 use crate::query::{DbEvent, Predicate};
 use crate::schema::SchemaDef;
 use crate::value::Value;
 use crate::wal::{self, Wal, WalOp, WalRecord, WalStatus};
 
-/// The `geodb.query` failpoint — snapshot reads honour the same fault
-/// hook as the mutable query primitives so the fault harness covers both
-/// paths.
+/// The `geodb.query` failpoint — every query primitive, on a snapshot
+/// or on the mutable database, honours it.
 fn query_failpoint() -> Result<()> {
     faultsim::fire("geodb.query").map_err(|f| GeoDbError::Storage(f.to_string()))
 }
 
-// ---------------------------------------------------------------------------
-// ClassPartition
-// ---------------------------------------------------------------------------
-
-/// Immutable per-class slice of a snapshot: the extent's instances (in
-/// insertion order) plus a mirror of its spatial index. Snapshots share
-/// partitions via `Arc`; the writer clones-and-patches only the
-/// partitions a write actually touched.
-pub struct ClassPartition {
-    instances: HashMap<Oid, Arc<Instance>>,
-    /// Insertion order, so extensions list deterministically.
-    order: Vec<Oid>,
-    spatial: Option<Box<dyn SpatialIndex>>,
-    geom_attr: Option<String>,
-    kind: IndexKind,
-}
-
-impl Clone for ClassPartition {
-    fn clone(&self) -> ClassPartition {
-        ClassPartition {
-            instances: self.instances.clone(),
-            order: self.order.clone(),
-            spatial: self.spatial.as_ref().map(|s| s.clone_box()),
-            geom_attr: self.geom_attr.clone(),
-            kind: self.kind,
-        }
-    }
-}
-
-impl ClassPartition {
-    /// Build from a full extent capture (initial snapshot, new schema,
-    /// store restore).
-    fn from_capture(cap: crate::db::ExtentCapture) -> ClassPartition {
-        let spatial: Option<Box<dyn SpatialIndex>> = match (&cap.geom_attr, cap.kind) {
-            (Some(_), IndexKind::RTree) => Some(Box::new(RTree::new())),
-            (Some(_), IndexKind::Grid { cell }) => Some(Box::new(GridIndex::new(cell))),
-            _ => None,
-        };
-        let mut part = ClassPartition {
-            instances: HashMap::with_capacity(cap.instances.len()),
-            order: Vec::with_capacity(cap.instances.len()),
-            spatial,
-            geom_attr: cap.geom_attr,
-            kind: cap.kind,
-        };
-        for inst in cap.instances {
-            part.upsert(inst);
-        }
-        part
-    }
-
-    /// Insert or replace one instance, keeping order and index in step.
-    fn upsert(&mut self, inst: Instance) {
-        let oid = inst.oid;
-        let bbox = self
-            .geom_attr
-            .as_ref()
-            .and_then(|a| inst.get(a).as_geometry())
-            .map(|g| g.bbox());
-        if self.instances.insert(oid, Arc::new(inst)).is_none() {
-            self.order.push(oid);
-        }
-        if let Some(idx) = self.spatial.as_mut() {
-            idx.remove(oid);
-            if let Some(bbox) = bbox {
-                idx.insert(oid, bbox);
-            }
-        }
-    }
-
-    /// Remove one instance if present.
-    fn remove(&mut self, oid: Oid) {
-        if self.instances.remove(&oid).is_some() {
-            self.order.retain(|o| *o != oid);
-        }
-        if let Some(idx) = self.spatial.as_mut() {
-            idx.remove(oid);
-        }
-    }
-
-    fn get(&self, oid: Oid) -> Option<&Arc<Instance>> {
-        self.instances.get(&oid)
-    }
-
-    fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// The extent's instances in insertion order (delta shipping
-    /// serializes a touched partition wholesale).
-    pub(crate) fn instances_ordered(&self) -> Vec<Instance> {
-        self.order
-            .iter()
-            .map(|oid| (**self.instances.get(oid).expect("ordered oid present")).clone())
-            .collect()
-    }
-
-    /// The extent's OIDs in insertion order.
-    pub(crate) fn oids(&self) -> &[Oid] {
-        &self.order
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OidMap — sharded locator
-// ---------------------------------------------------------------------------
-
-const OID_BUCKETS: u64 = 64;
-
-/// One locator bucket: oid → interned (schema, class).
-type OidBucket = HashMap<Oid, (Arc<str>, Arc<str>)>;
-
-/// oid → (schema, class), sharded into `Arc` buckets so a publish clones
-/// 1/64th of the map (the touched bucket) instead of every entry.
-#[derive(Clone)]
-struct OidMap {
-    buckets: Vec<Arc<OidBucket>>,
-}
-
-impl OidMap {
-    fn new() -> OidMap {
-        OidMap {
-            buckets: (0..OID_BUCKETS).map(|_| Arc::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn bucket(oid: Oid) -> usize {
-        (oid.0 % OID_BUCKETS) as usize
-    }
-
-    fn get(&self, oid: Oid) -> Option<&(Arc<str>, Arc<str>)> {
-        self.buckets[Self::bucket(oid)].get(&oid)
-    }
-
-    fn insert(&mut self, oid: Oid, schema: Arc<str>, class: Arc<str>) {
-        Arc::make_mut(&mut self.buckets[Self::bucket(oid)]).insert(oid, (schema, class));
-    }
-
-    fn remove(&mut self, oid: Oid) {
-        Arc::make_mut(&mut self.buckets[Self::bucket(oid)]).remove(&oid);
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
-    }
-
-    /// Every (oid, schema, class), in OID order.
-    fn entries_sorted(&self) -> Vec<(Oid, Arc<str>, Arc<str>)> {
-        let mut out: Vec<_> = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|(o, (s, c))| (*o, s.clone(), c.clone())))
-            .collect();
-        out.sort_by_key(|(o, _, _)| *o);
-        out
-    }
-}
+/// Method bodies by (class, method).
+pub(crate) type Methods = HashMap<(String, String), MethodFn>;
 
 // ---------------------------------------------------------------------------
 // DbSnapshot
@@ -263,17 +101,23 @@ impl OidMap {
 /// An immutable point-in-time view of the database, safe to read from
 /// any thread without locks. Obtained from [`DbStore::snapshot`] or a
 /// pinned [`DbReader`].
+///
+/// Every field is an `Arc` the writer's [`Database`] shares: its head is
+/// an unpublished `DbSnapshot` that it patches copy-on-write, so a
+/// published one is never mutated. The query primitives here are the
+/// one implementation both sides run.
 pub struct DbSnapshot {
-    epoch: Epoch,
-    name: Arc<str>,
-    catalog: Arc<Catalog>,
-    partitions: HashMap<(String, String), Arc<ClassPartition>>,
-    locator: OidMap,
-    methods: Arc<HashMap<(String, String), MethodFn>>,
+    pub(crate) epoch: Epoch,
+    pub(crate) name: Arc<str>,
+    pub(crate) catalog: Arc<Catalog>,
+    pub(crate) parts: Arc<Partitions>,
+    /// oid → interned (schema, class).
+    pub(crate) locator: Arc<OidMap<ClassNames>>,
+    pub(crate) methods: Arc<Methods>,
 }
 
-/// Resolves `Ref` attributes against a pinned snapshot so registered
-/// method bodies run on the lock-free read path.
+/// Resolves `Ref` attributes against a snapshot so registered method
+/// bodies run on the lock-free read path.
 struct SnapshotResolver<'a> {
     snap: &'a DbSnapshot,
 }
@@ -285,6 +129,30 @@ impl RefResolver for SnapshotResolver<'_> {
 }
 
 impl DbSnapshot {
+    /// An empty database version (no schemas, no rows).
+    pub(crate) fn empty(name: &str) -> DbSnapshot {
+        DbSnapshot {
+            epoch: Epoch::ZERO,
+            name: Arc::from(name),
+            catalog: Arc::new(Catalog::new()),
+            parts: Arc::new(Partitions::default()),
+            locator: Arc::new(OidMap::new()),
+            methods: Arc::new(HashMap::new()),
+        }
+    }
+
+    /// This version under `epoch`, sharing everything by `Arc`.
+    pub(crate) fn published(&self, epoch: Epoch) -> DbSnapshot {
+        DbSnapshot {
+            epoch,
+            name: Arc::clone(&self.name),
+            catalog: Arc::clone(&self.catalog),
+            parts: Arc::clone(&self.parts),
+            locator: Arc::clone(&self.locator),
+            methods: Arc::clone(&self.methods),
+        }
+    }
+
     /// The epoch this snapshot was published under.
     pub fn epoch(&self) -> Epoch {
         self.epoch
@@ -293,14 +161,8 @@ impl DbSnapshot {
     /// The structurally-shared partition map (delta shipping compares
     /// partitions by `Arc` identity to find what a span of epochs
     /// touched).
-    pub(crate) fn partitions(&self) -> &HashMap<(String, String), Arc<ClassPartition>> {
-        &self.partitions
-    }
-
-    /// The shared method registry (replicas reuse the primary's bodies —
-    /// code does not travel in frames).
-    pub(crate) fn methods_arc(&self) -> Arc<HashMap<(String, String), MethodFn>> {
-        Arc::clone(&self.methods)
+    pub(crate) fn partitions(&self) -> &Partitions {
+        &self.parts
     }
 
     /// The shared catalog (delta shipping compares catalogs by `Arc`
@@ -338,15 +200,13 @@ impl DbSnapshot {
 
     /// Number of stored instances of a class (own extent only).
     pub fn extent_size(&self, schema: &str, class: &str) -> usize {
-        self.partitions
-            .get(&(schema.to_string(), class.to_string()))
-            .map(|p| p.len())
-            .unwrap_or(0)
+        self.parts.get(schema, class).map(|p| p.len()).unwrap_or(0)
     }
 
-    fn partition(&self, schema: &str, class: &str) -> Result<&Arc<ClassPartition>> {
-        self.partitions
-            .get(&(schema.to_string(), class.to_string()))
+    fn partition(&self, schema: &str, class: &str) -> Result<&ClassPartition> {
+        self.parts
+            .get(schema, class)
+            .map(|p| &**p)
             .ok_or_else(|| GeoDbError::UnknownClass(class.to_string()))
     }
 
@@ -371,23 +231,21 @@ impl DbSnapshot {
         let _span = obs::span("geodb.get_class");
         query_failpoint()?;
         self.catalog.class(schema, class)?;
-        let mut classes = vec![class.to_string()];
+        let mut classes = vec![class];
         if with_subclasses {
-            let mut queue = vec![class.to_string()];
+            let mut queue = vec![class];
             while let Some(c) = queue.pop() {
-                for sub in self.catalog.subclasses(schema, &c)? {
-                    classes.push(sub.name.clone());
-                    queue.push(sub.name.clone());
+                for sub in self.catalog.subclasses(schema, c)? {
+                    classes.push(&sub.name);
+                    queue.push(&sub.name);
                 }
             }
         }
         let mut out = Vec::new();
-        for c in &classes {
-            if let Some(part) = self.partitions.get(&(schema.to_string(), c.clone())) {
-                out.reserve(part.order.len());
-                for oid in &part.order {
-                    out.push(Arc::clone(part.get(*oid).expect("ordered oid present")));
-                }
+        for c in classes {
+            if let Some(part) = self.parts.get(schema, c) {
+                out.reserve(part.len());
+                out.extend(part.rows().cloned());
             }
         }
         if obs::enabled() {
@@ -412,11 +270,11 @@ impl DbSnapshot {
     /// Fetch without counters (internal plumbing, rendering).
     pub fn peek(&self, oid: Oid) -> Result<Arc<Instance>> {
         let (schema, class) = self.locator.get(oid).ok_or(GeoDbError::UnknownOid(oid.0))?;
-        let part = self
-            .partitions
-            .get(&(schema.to_string(), class.to_string()))
-            .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        part.get(oid).cloned().ok_or(GeoDbError::UnknownOid(oid.0))
+        self.parts
+            .get(schema, class)
+            .and_then(|p| p.get(oid))
+            .cloned()
+            .ok_or(GeoDbError::UnknownOid(oid.0))
     }
 
     /// Selection with optional spatial-index acceleration; returns the
@@ -431,30 +289,36 @@ impl DbSnapshot {
         query_failpoint()?;
         self.catalog.class(schema, class)?;
         let part = self.partition(schema, class)?;
-        let window = pred.index_window();
-        let (candidates, index_used): (Vec<Oid>, bool) = match (&part.spatial, &window) {
-            (Some(idx), Some((attr, rect))) if Some(attr.as_str()) == part.geom_attr.as_deref() => {
-                (idx.query_rect(rect), true)
+        let indexed = match (part.spatial(), pred.index_window()) {
+            (Some(idx), Some((attr, rect))) if Some(attr.as_str()) == part.geom_attr() => {
+                Some(idx.query_rect(&rect))
             }
-            _ => (part.order.clone(), false),
+            _ => None,
         };
-        let n_candidates = candidates.len();
+        let index_used = indexed.is_some();
+        let mut candidates = 0usize;
         let mut out = Vec::new();
-        for oid in candidates {
-            let inst = part.get(oid).expect("candidate oid present");
+        let mut test = |inst: &Arc<Instance>| {
+            candidates += 1;
             if pred.eval(inst) {
                 out.push(Arc::clone(inst));
             }
+        };
+        match &indexed {
+            Some(oids) => oids
+                .iter()
+                .for_each(|oid| test(part.get(*oid).expect("candidate oid present"))),
+            None => part.rows().for_each(test),
         }
         out.sort_by_key(|i| i.oid);
         let stats = QueryStats {
-            candidates: n_candidates,
+            candidates,
             returned: out.len(),
             index_used,
         };
         if obs::enabled() {
             obs::counter_add("geodb.queries", 1);
-            obs::counter_add("geodb.instances_fetched", n_candidates as u64);
+            obs::counter_add("geodb.instances_fetched", candidates as u64);
             obs::counter_add(
                 if index_used {
                     "geodb.index_hits"
@@ -490,7 +354,10 @@ impl DbSnapshot {
         aggregate_rows(&rows, path, agg)
     }
 
-    /// k-nearest-neighbour query (exact re-rank of index candidates).
+    /// k-nearest-neighbour query (exact re-rank of index candidates:
+    /// bbox distance underestimates true distance, so 2k candidates then
+    /// an exact re-rank is safe for point data and a good heuristic
+    /// otherwise; a class without an index is scanned).
     pub fn nearest(
         &self,
         schema: &str,
@@ -500,23 +367,38 @@ impl DbSnapshot {
     ) -> Result<Vec<Arc<Instance>>> {
         self.catalog.class(schema, class)?;
         let part = self.partition(schema, class)?;
-        let geom_attr = part.geom_attr.clone().ok_or_else(|| {
-            GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
-        })?;
-        let candidates: Vec<Oid> = match &part.spatial {
-            Some(idx) => idx.nearest(&p, (2 * k).max(8)),
-            None => part.order.clone(),
-        };
-        let mut ranked: Vec<(f64, Arc<Instance>)> = Vec::with_capacity(candidates.len());
-        for oid in candidates {
-            let inst = part.get(oid).expect("candidate oid present");
-            if let Some(g) = inst.get(&geom_attr).as_geometry() {
+        let geom_attr = part.geom_attr().ok_or_else(|| no_geometry(class))?;
+        let mut ranked: Vec<(f64, Arc<Instance>)> = Vec::new();
+        let mut rank = |inst: &Arc<Instance>| {
+            if let Some(g) = inst.get(geom_attr).as_geometry() {
                 ranked.push((g.distance_to_point(&p), Arc::clone(inst)));
             }
+        };
+        match part.spatial() {
+            Some(idx) => idx
+                .nearest(&p, (2 * k).max(8))
+                .iter()
+                .for_each(|oid| rank(part.get(*oid).expect("candidate oid present"))),
+            None => part.rows().for_each(rank),
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
         ranked.truncate(k);
         Ok(ranked.into_iter().map(|(_, i)| i).collect())
+    }
+
+    /// The predicate of a spatial window over a class's geometry.
+    pub(crate) fn window_predicate(
+        &self,
+        schema: &str,
+        class: &str,
+        rect: Rect,
+    ) -> Result<Predicate> {
+        let part = self.partition(schema, class)?;
+        let attr = part.geom_attr().ok_or_else(|| no_geometry(class))?;
+        Ok(Predicate::IntersectsRect {
+            attr: attr.to_string(),
+            rect,
+        })
     }
 
     /// Spatial window shortcut: everything intersecting `rect`.
@@ -526,11 +408,8 @@ impl DbSnapshot {
         class: &str,
         rect: Rect,
     ) -> Result<Vec<Arc<Instance>>> {
-        let part = self.partition(schema, class)?;
-        let attr = part.geom_attr.clone().ok_or_else(|| {
-            GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
-        })?;
-        self.select(schema, class, &Predicate::IntersectsRect { attr, rect })
+        let pred = self.window_predicate(schema, class, rect)?;
+        self.select(schema, class, &pred)
     }
 
     /// Invoke a registered method body against the pinned view.
@@ -547,38 +426,39 @@ impl DbSnapshot {
         f(&mut resolver, inst, args)
     }
 
-    /// Every stored object with its schema, in OID order (snapshot dump).
-    pub fn dump_objects(&self) -> Vec<(String, Instance)> {
-        self.locator
-            .entries_sorted()
-            .into_iter()
-            .map(|(oid, schema, class)| {
+    /// Every stored object with its schema, in OID order (snapshot
+    /// dump). The rows are the partitions' own shared handles.
+    pub fn dump_objects(&self) -> Vec<(Arc<str>, Arc<Instance>)> {
+        let mut out: Vec<(Arc<str>, Arc<Instance>)> = self
+            .locator
+            .iter()
+            .map(|(oid, (schema, class))| {
                 let inst = self
-                    .partitions
-                    .get(&(schema.to_string(), class.to_string()))
+                    .parts
+                    .get(schema, class)
                     .and_then(|p| p.get(oid))
                     .expect("located instance present in partition");
-                (schema.to_string(), (**inst).clone())
+                (Arc::clone(schema), Arc::clone(inst))
             })
-            .collect()
+            .collect();
+        out.sort_by_key(|(_, inst)| inst.oid);
+        out
     }
 
     /// Approximate logical data footprint: serialized bytes of every
     /// stored instance. One snapshot's worth is what *all* shards share;
     /// the per-copy model of the old serving layer paid this per shard.
     pub fn approx_data_bytes(&self) -> usize {
-        self.locator
-            .entries_sorted()
+        self.dump_objects()
             .iter()
-            .filter_map(|(oid, schema, class)| {
-                self.partitions
-                    .get(&(schema.to_string(), class.to_string()))
-                    .and_then(|p| p.get(*oid))
-                    .and_then(|i| serde_json::to_vec(&**i).ok())
-                    .map(|b| b.len())
-            })
+            .filter_map(|(_, inst)| serde_json::to_vec(&**inst).ok())
+            .map(|b| b.len())
             .sum()
     }
+}
+
+fn no_geometry(class: &str) -> GeoDbError {
+    GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
 }
 
 impl std::fmt::Debug for DbSnapshot {
@@ -605,260 +485,51 @@ pub struct Committed<R> {
     pub epoch: Epoch,
 }
 
-/// The role-agnostic partition mirror of a [`Database`]: catalog,
-/// structurally-shared class partitions and the OID locator. The
-/// primary's writer folds committed events into it; a replica folds
-/// applied frames into its own through the same code.
-pub(crate) struct Mirror {
-    name: Arc<str>,
-    catalog: Arc<Catalog>,
-    parts: HashMap<(String, String), Arc<ClassPartition>>,
-    locator: OidMap,
-    /// Interned schema/class names for locator entries.
-    interned: HashMap<String, Arc<str>>,
-}
-
-impl Mirror {
-    pub(crate) fn new() -> Mirror {
-        Mirror {
-            name: Arc::from(""),
-            catalog: Arc::new(Catalog::new()),
-            parts: HashMap::new(),
-            locator: OidMap::new(),
-            interned: HashMap::new(),
-        }
-    }
-
-    fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some(a) = self.interned.get(s) {
-            return a.clone();
-        }
-        let a: Arc<str> = Arc::from(s);
-        self.interned.insert(s.to_string(), a.clone());
-        a
-    }
-
-    /// Full capture of the database (initial snapshot, restore, replica
-    /// full sync).
-    pub(crate) fn capture_all(&mut self, db: &mut Database) -> Result<()> {
-        self.name = Arc::from(db.name());
-        self.catalog = Arc::new(db.catalog().clone());
-        self.parts.clear();
-        self.locator = OidMap::new();
-        for key in db.extent_keys() {
-            let cap = db.capture_extent(&key.0, &key.1)?;
-            let part = ClassPartition::from_capture(cap);
-            let (schema_a, class_a) = (self.intern(&key.0), self.intern(&key.1));
-            for oid in &part.order {
-                self.locator.insert(*oid, schema_a.clone(), class_a.clone());
-            }
-            self.parts.insert(key, Arc::new(part));
-        }
-        Ok(())
-    }
-
-    /// Refresh the catalog mirror and capture any extents that have no
-    /// partition yet (new schemas). Returns the freshly captured keys —
-    /// their captures already reflect the current database state.
-    pub(crate) fn capture_new_extents(
-        &mut self,
-        db: &mut Database,
-    ) -> Result<HashSet<(String, String)>> {
-        let mut fresh: HashSet<(String, String)> = HashSet::new();
-        self.catalog = Arc::new(db.catalog().clone());
-        for key in db.extent_keys() {
-            if !self.parts.contains_key(&key) {
-                let cap = db.capture_extent(&key.0, &key.1)?;
-                self.parts
-                    .insert(key.clone(), Arc::new(ClassPartition::from_capture(cap)));
-                fresh.insert(key);
-            }
-        }
-        Ok(fresh)
-    }
-
-    /// Recapture one extent wholesale, replacing its partition and
-    /// locator entries (replica delta apply).
-    pub(crate) fn recapture(&mut self, db: &mut Database, key: &(String, String)) -> Result<()> {
-        if let Some(old) = self.parts.get(key) {
-            for oid in old.oids().to_vec() {
-                self.locator.remove(oid);
-            }
-        }
-        let cap = db.capture_extent(&key.0, &key.1)?;
-        let part = ClassPartition::from_capture(cap);
-        let (schema_a, class_a) = (self.intern(&key.0), self.intern(&key.1));
-        for oid in &part.order {
-            self.locator.insert(*oid, schema_a.clone(), class_a.clone());
-        }
-        self.parts.insert(key.clone(), Arc::new(part));
-        Ok(())
-    }
-
-    /// Incremental sync: fold the drained events into the partition map,
-    /// rebuilding only what changed.
-    pub(crate) fn sync_events(&mut self, db: &mut Database, events: &[DbEvent]) -> Result<()> {
-        // New schemas first: refresh the catalog and capture any extents
-        // we have no partition for yet. Captures taken here already
-        // reflect every event of this write, so data events against
-        // freshly captured classes must not be re-applied.
-        let fresh = if events
-            .iter()
-            .any(|e| matches!(e, DbEvent::SchemaRegistered { .. }))
-        {
-            self.capture_new_extents(db)?
-        } else {
-            HashSet::new()
-        };
-
-        // Locator maintenance in event order; group data events per
-        // class as `(oid, removed)` pairs.
-        type ClassChanges = Vec<(Oid, bool)>;
-        let mut per_class: Vec<((String, String), ClassChanges)> = Vec::new();
-        for e in events {
-            let (schema, class, oid, removed) = match e {
-                DbEvent::Insert { schema, class, oid } | DbEvent::Update { schema, class, oid } => {
-                    (schema, class, *oid, false)
-                }
-                DbEvent::Delete { schema, class, oid } => (schema, class, *oid, true),
-                _ => continue,
-            };
-            if removed {
-                self.locator.remove(oid);
-            } else {
-                let (s, c) = (self.intern(schema), self.intern(class));
-                self.locator.insert(oid, s, c);
-            }
-            let key = (schema.clone(), class.clone());
-            match per_class.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, evs)) => evs.push((oid, removed)),
-                None => per_class.push((key, vec![(oid, removed)])),
-            }
-        }
-
-        for (key, evs) in per_class {
-            if fresh.contains(&key) {
-                continue;
-            }
-            let base = self
-                .parts
-                .get(&key)
-                .ok_or_else(|| GeoDbError::UnknownClass(key.1.clone()))?;
-            let mut part = (**base).clone();
-            for (oid, removed) in evs {
-                if removed {
-                    part.remove(oid);
-                    continue;
-                }
-                // An instance inserted and deleted within the same write
-                // is already gone from the database; treat it as removed.
-                match db.fetch_instance(&key.0, &key.1, oid) {
-                    Ok(inst) => part.upsert(inst),
-                    Err(GeoDbError::UnknownOid(_)) => part.remove(oid),
-                    Err(e) => return Err(e),
+/// Derive the redo operations of one committed write: the final image
+/// of every touched object (events carry only identities, so the
+/// post-images come from the freshly published snapshot), preceded by
+/// any schemas registered during the write. Ops are post-state, making
+/// WAL replay idempotent.
+fn redo_ops(snap: &DbSnapshot, events: &[DbEvent]) -> Vec<WalOp> {
+    let mut ops = Vec::new();
+    let mut touched: Vec<(&str, &str, Oid)> = Vec::new();
+    let mut seen: HashSet<Oid> = HashSet::new();
+    for e in events {
+        match e {
+            DbEvent::SchemaRegistered { schema } => {
+                if let Ok(def) = snap.catalog.schema(schema) {
+                    ops.push(WalOp::Schema { def: def.clone() });
                 }
             }
-            self.parts.insert(key, Arc::new(part));
-        }
-        Ok(())
-    }
-
-    /// Derive the redo operations of one committed write: the final
-    /// image of every touched object (events carry only identities, so
-    /// the post-images come from the freshly synced partition mirror),
-    /// preceded by any schemas registered during the write. Ops are
-    /// post-state, making WAL replay idempotent.
-    fn redo_ops(&self, events: &[DbEvent]) -> Vec<WalOp> {
-        let mut ops = Vec::new();
-        let mut touched: Vec<(String, String, Oid)> = Vec::new();
-        let mut seen: HashSet<Oid> = HashSet::new();
-        for e in events {
-            match e {
-                DbEvent::SchemaRegistered { schema } => {
-                    if let Ok(def) = self.catalog.schema(schema) {
-                        ops.push(WalOp::Schema { def: def.clone() });
-                    }
-                }
-                DbEvent::Insert { schema, class, oid }
-                | DbEvent::Update { schema, class, oid }
-                | DbEvent::Delete { schema, class, oid }
-                    if seen.insert(*oid) =>
-                {
-                    touched.push((schema.clone(), class.clone(), *oid));
-                }
-                _ => {}
-            }
-        }
-        for (schema, class, oid) in touched {
-            match self
-                .parts
-                .get(&(schema.clone(), class))
-                .and_then(|p| p.get(oid))
+            DbEvent::Insert { schema, class, oid }
+            | DbEvent::Update { schema, class, oid }
+            | DbEvent::Delete { schema, class, oid }
+                if seen.insert(*oid) =>
             {
-                Some(inst) => ops.push(WalOp::Upsert {
-                    schema,
-                    instance: (**inst).clone(),
-                }),
-                None => ops.push(WalOp::Delete { oid }),
+                touched.push((schema, class, *oid));
             }
-        }
-        ops
-    }
-
-    pub(crate) fn build_snapshot(
-        &self,
-        epoch: Epoch,
-        methods: Arc<HashMap<(String, String), MethodFn>>,
-    ) -> DbSnapshot {
-        DbSnapshot {
-            epoch,
-            name: self.name.clone(),
-            catalog: self.catalog.clone(),
-            partitions: self.parts.clone(),
-            locator: self.locator.clone(),
-            methods,
+            _ => {}
         }
     }
+    for (schema, class, oid) in touched {
+        match snap.parts.get(schema, class).and_then(|p| p.get(oid)) {
+            Some(inst) => ops.push(WalOp::Upsert {
+                schema: schema.to_string(),
+                instance: (**inst).clone(),
+            }),
+            None => ops.push(WalOp::Delete { oid }),
+        }
+    }
+    ops
 }
 
 struct WriterState {
     db: Database,
-    /// Subscription to the database's live event stream. The writer syncs
-    /// partitions from here — not from `drain_events` — so a write closure
-    /// that drains the queue itself (several `custlang` helpers do) cannot
-    /// starve the incremental sync.
-    events_rx: Receiver<DbEvent>,
-    mirror: Mirror,
     /// Last epoch *assigned* (not necessarily published yet — with group
     /// commit the leader publishes a batch's newest epoch after the WAL
     /// fsync). Assigning under the writer lock keeps WAL records in
     /// strict epoch order.
     seq: Epoch,
-}
-
-impl WriterState {
-    /// Drop events already emitted (pre-wrap activity, reads by an
-    /// earlier failed write) from both the queue and the subscription.
-    fn discard_pending_events(&mut self) {
-        self.db.drain_events();
-        while self.events_rx.try_recv().is_ok() {}
-    }
-
-    /// Collect everything the last closure emitted, regardless of
-    /// whether it drained the database's own queue along the way.
-    fn take_events(&mut self) -> Vec<DbEvent> {
-        self.db.drain_events();
-        let mut events = Vec::new();
-        while let Ok(e) = self.events_rx.try_recv() {
-            events.push(e);
-        }
-        events
-    }
-
-    fn build_snapshot(&self, epoch: Epoch) -> DbSnapshot {
-        self.mirror
-            .build_snapshot(epoch, Arc::new(self.db.methods_map()))
-    }
 }
 
 /// One write waiting in the group-commit queue: its assigned epoch and
@@ -1080,17 +751,13 @@ pub struct DbStore {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panic inside a write closure is contained by the serving layer;
-    // the store itself stays usable (partial mutations were already
-    // synced on the next publish).
+    // the store itself stays usable (the next publish carries whatever
+    // the closure mutated before it panicked).
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl DbStore {
     /// Wrap a database into a shared versioned store, publishing epoch 1.
-    ///
-    /// # Panics
-    /// Panics if the initial capture fails, which requires the backing
-    /// storage to be corrupt (in-memory databases cannot fail here).
     pub fn new(db: Database) -> DbStore {
         Self::new_at(db, Epoch(1))
     }
@@ -1099,18 +766,9 @@ impl DbStore {
     /// (crash recovery resumes where the durable history ended).
     fn new_at(mut db: Database, epoch: Epoch) -> DbStore {
         let epoch = epoch.max(Epoch(1));
-        let events_rx = db.subscribe();
-        let mut w = WriterState {
-            db,
-            events_rx,
-            mirror: Mirror::new(),
-            seq: epoch,
-        };
-        w.discard_pending_events();
-        w.mirror
-            .capture_all(&mut w.db)
-            .expect("initial snapshot capture");
-        let snap = Arc::new(w.build_snapshot(epoch));
+        db.drain_events();
+        let snap = Arc::new(db.snapshot_at(epoch));
+        let w = WriterState { db, seq: epoch };
         if obs::enabled() {
             obs::counter_add("db.snapshot_publishes", 1);
             obs::counter_add("db.epoch", 1);
@@ -1228,7 +886,7 @@ impl DbStore {
     /// channel, so the subscriber's owner can wake the consumer — e.g.
     /// with a shutdown sentinel — without waiting for the next publish.
     pub fn subscribe_epochs(&self) -> (Sender<Epoch>, Receiver<Epoch>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         lock(&self.shared.subscribers).push(tx.clone());
         (tx, rx)
     }
@@ -1241,12 +899,12 @@ impl DbStore {
         lock(&self.shared.writer).db.next_oid()
     }
 
-    /// Execute a write against the one mutable [`Database`], then sync
-    /// the touched partitions and publish the next epoch. The snapshot
-    /// is republished even when the closure errors partway (the database
-    /// may have partially mutated), so published state never diverges
-    /// from the writer database — and with a WAL attached the batch is
-    /// logged exactly as published before the error propagates.
+    /// Execute a write against the one mutable [`Database`], then
+    /// publish its head as the next epoch. The snapshot is republished
+    /// even when the closure errors partway (the database may have
+    /// partially mutated), so published state never diverges from the
+    /// writer database — and with a WAL attached the batch is logged
+    /// exactly as published before the error propagates.
     ///
     /// Durable stores acknowledge only after the record is fsynced and
     /// the epoch published (group commit may batch several writers into
@@ -1264,20 +922,18 @@ impl DbStore {
         let mut w = lock(&self.shared.writer);
         self.check_poisoned()?;
         let t0 = Instant::now();
-        w.discard_pending_events();
+        w.db.begin_journal();
         let value = f(&mut w.db);
-        let events = w.take_events();
-        let WriterState { db, mirror, .. } = &mut *w;
-        mirror.sync_events(db, &events)?;
+        let mut events = w.db.end_journal();
         w.seq = w.seq.next();
         let epoch = w.seq;
-        let snap = Arc::new(w.build_snapshot(epoch));
+        let snap = Arc::new(w.db.snapshot_at(epoch));
         if self.shared.wal_attached.load(Ordering::Relaxed) {
             let record = WalRecord {
                 epoch,
                 next_oid: w.db.next_oid(),
-                events: events.clone(),
-                ops: w.mirror.redo_ops(&events),
+                ops: redo_ops(&snap, &events),
+                events,
             };
             let format = if self.shared.wal_binary.load(Ordering::Relaxed) {
                 wal::WalFormat::Binary
@@ -1285,10 +941,10 @@ impl DbStore {
                 wal::WalFormat::Json
             };
             let payload = wal::encode_payload_with(&record, format)?;
+            events = record.events;
             // Enqueue while still holding the writer lock: the commit
             // queue (and therefore the WAL) stays in strict epoch order.
-            let c = lock(&self.shared.commit);
-            let mut c = c;
+            let mut c = lock(&self.shared.commit);
             c.queue.push(PendingCommit {
                 epoch,
                 next_oid: record.next_oid,
@@ -1423,14 +1079,10 @@ impl DbStore {
         self.check_poisoned()?;
         let t0 = Instant::now();
         w.db = db;
-        w.events_rx = w.db.subscribe();
-        w.discard_pending_events();
-        w.mirror = Mirror::new();
-        let WriterState { db, mirror, .. } = &mut *w;
-        mirror.capture_all(db)?;
+        w.db.drain_events();
         w.seq = w.seq.next();
         let epoch = w.seq;
-        let snap = Arc::new(w.build_snapshot(epoch));
+        let snap = Arc::new(w.db.snapshot_at(epoch));
         if self.shared.wal_attached.load(Ordering::Relaxed) {
             let json = crate::snapshot::save_snapshot(&snap)?;
             let next_oid = w.db.next_oid();
@@ -1750,16 +1402,59 @@ mod tests {
             .write(|db| db.update(oid, vec![("height".into(), Value::Float(50.0))]))
             .unwrap();
         let after = store.snapshot();
-        let key_pole = ("net".to_string(), "Pole".to_string());
-        let key_sup = ("net".to_string(), "Supplier".to_string());
+        let part = |snap: &DbSnapshot, class| Arc::clone(snap.parts.get("net", class).unwrap());
         assert!(
-            !Arc::ptr_eq(&before.partitions[&key_pole], &after.partitions[&key_pole]),
-            "touched partition is rebuilt"
+            !Arc::ptr_eq(&part(&before, "Pole"), &part(&after, "Pole")),
+            "touched partition is copied"
         );
         assert!(
-            Arc::ptr_eq(&before.partitions[&key_sup], &after.partitions[&key_sup]),
+            Arc::ptr_eq(&part(&before, "Supplier"), &part(&after, "Supplier")),
             "untouched partition is structurally shared"
         );
+        assert!(
+            Arc::ptr_eq(&before.locator, &after.locator),
+            "an update leaves the locator shared"
+        );
+        let (old, new) = (before.peek(oid).unwrap(), after.peek(oid).unwrap());
+        let other = before.get_class("net", "Pole", false).unwrap()[1].oid;
+        assert!(!Arc::ptr_eq(&old, &new), "the written row is a new handle");
+        assert!(
+            Arc::ptr_eq(&before.peek(other).unwrap(), &after.peek(other).unwrap()),
+            "an untouched row keeps its handle"
+        );
+    }
+
+    #[test]
+    fn spatial_index_is_copied_only_when_a_box_changes() {
+        let store = DbStore::new(sample_db());
+        let oid = store.snapshot().get_class("net", "Pole", false).unwrap()[0].oid;
+        let pole = |snap: &DbSnapshot| Arc::clone(snap.parts.get("net", "Pole").unwrap());
+        let before = store.snapshot();
+        store
+            .write(|db| db.update(oid, vec![("height".into(), Value::Float(42.0))]))
+            .unwrap();
+        let after_attr = store.snapshot();
+        assert!(
+            pole(&before).shares_index_with(&pole(&after_attr)),
+            "an attribute update shares the index"
+        );
+        let moved = Geometry::Point(Point::new(0.0, 30.0));
+        store
+            .write(|db| db.update(oid, vec![("location".into(), moved.into())]))
+            .unwrap();
+        let after_move = store.snapshot();
+        assert!(!pole(&after_attr).shares_index_with(&pole(&after_move)));
+        assert_eq!(
+            after_move
+                .window_query("net", "Pole", Rect::new(-1.0, 29.0, 1.0, 31.0))
+                .unwrap()[0]
+                .oid,
+            oid
+        );
+        assert!(after_attr
+            .window_query("net", "Pole", Rect::new(-1.0, 29.0, 1.0, 31.0))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1844,8 +1539,8 @@ mod tests {
     #[test]
     fn write_closure_draining_events_still_syncs() {
         // Helpers like `custlang::save_program` drain the database's own
-        // event queue; the writer's subscription must see the mutations
-        // anyway or the published snapshot would silently diverge.
+        // event queue; the commit's journal must keep the mutations
+        // anyway, or the active mechanism and the WAL would miss them.
         let store = DbStore::new(sample_db());
         let committed = store
             .write(|db| {

@@ -113,6 +113,19 @@ impl Value {
         }
     }
 
+    /// True when every float inside the value — scalars, tuple fields,
+    /// list items and geometry coordinates — is finite. Checkpoints and
+    /// snapshots are JSON, which cannot represent NaN or infinity.
+    pub fn is_finite(&self) -> bool {
+        match self {
+            Value::Float(x) => x.is_finite(),
+            Value::Geometry(g) => g.is_finite(),
+            Value::Tuple(fields) => fields.iter().all(|(_, v)| v.is_finite()),
+            Value::List(items) => items.iter().all(Value::is_finite),
+            _ => true,
+        }
+    }
+
     /// Geometry payload if this is a spatial value.
     pub fn as_geometry(&self) -> Option<&Geometry> {
         match self {

@@ -11,7 +11,7 @@
 //!   upserts / deletes / schema registrations) that rebuild the commit
 //!   on replay. Events alone are not enough — a `DbEvent` names the
 //!   touched object but not its values, so the writer captures final
-//!   images from its partition mirror at commit time.
+//!   images from the snapshot it publishes.
 //! * **Checkpoints** — the existing `snapshot.rs` JSON serializer,
 //!   written atomically (`.tmp` + rename) next to a small meta document
 //!   recording the checkpoint epoch and OID allocator. A checkpoint
@@ -563,15 +563,11 @@ fn apply_op(db: &mut Database, op: &WalOp) -> Result<()> {
             Err(GeoDbError::Duplicate(_)) => Ok(()),
             r => r,
         },
-        WalOp::Upsert { schema, instance } => {
-            // Replace wholesale: `update` merges listed attributes, but
-            // the post-image is authoritative (an optional attribute
-            // absent from it must end up absent).
-            if db.locate(instance.oid).is_some() {
-                db.delete(instance.oid)?;
-            }
-            db.restore_instance(schema, instance.clone())
-        }
+        // Replace wholesale, in place: `update` merges listed
+        // attributes, but the post-image is authoritative (an optional
+        // attribute absent from it must end up absent), and the row keeps
+        // its position in the extension.
+        WalOp::Upsert { schema, instance } => db.put_post_image(schema, instance.clone()),
         WalOp::Delete { oid } => {
             if db.locate(*oid).is_some() {
                 db.delete(*oid)

@@ -789,19 +789,14 @@ impl Dispatcher {
             )));
         }
         let ctx = self.context_of(sid)?;
-        // Sandbox: serialize the pinned epoch and reload it as a private
-        // mutable database — a deep copy through stable state that never
-        // touches the shared store.
-        let json = geodb::snapshot::save_snapshot(&self.snapshot())?;
-        let mut sandbox = geodb::snapshot::load(&json)?;
+        // Sandbox: a private database sharing the pinned epoch's
+        // partitions. Its updates copy only the rows they touch and never
+        // reach the shared store.
+        let mut sandbox = Database::from_snapshot(&self.snapshot());
         for (oid, changes) in updates {
             sandbox.update(oid, changes)?;
         }
-        let rows: Vec<Arc<Instance>> = sandbox
-            .get_class(schema, class, false)?
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let rows = sandbox.snapshot().get_class(schema, class, false)?;
         self.open_class_window(sid, &ctx, schema, class, &rows, ClassSource::Sandbox, None)
     }
 
