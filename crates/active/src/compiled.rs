@@ -1,19 +1,19 @@
 //! The compiled dispatch tier: per-epoch flat decision tables.
 //!
-//! The discrimination index (see `engine.rs`) made *cache-hot* dispatch
-//! cheap, but a cold dispatch still interprets every candidate: string
-//! compares for schema/class/name, `Option` walks for the context
-//! pattern, and a full `max_by_key` specificity resolution per event.
-//! [`compile`] removes all of that from the hot path by lowering a
-//! published rule snapshot — once per content generation, off the
-//! dispatch path — into [`CompiledRules`]:
+//! Interpreting a rule at dispatch costs string compares for
+//! schema/class/name, `Option` walks for the context pattern, and a full
+//! `max_by_key` specificity resolution per event. [`compile`] removes all
+//! of that from the hot path by lowering a published rule snapshot — once
+//! per content generation, off the dispatch path — into
+//! [`CompiledRules`]:
 //!
 //! * **Dense jump tables.** One [`CompiledTable`] per `DbEventKind`
 //!   (a 7-slot array — no hash lookup for database events), plus one per
 //!   interface gesture name and external event name, plus fallback
-//!   tables for names no rule mentions. Each table is the *pre-merged*
-//!   union of the keyed, any-of-kind and wildcard buckets, so dispatch
-//!   walks exactly one flat vector with no run-merging.
+//!   tables for names no rule mentions. Each table holds every rule
+//!   that can match events routed to it — keyed by that name or kind,
+//!   any-of-kind, or wildcard — so dispatch walks exactly one flat
+//!   vector.
 //! * **Interning.** Every string a pattern can test — users, categories,
 //!   applications, schemas, classes — is interned to a small integer at
 //!   compile time. The rule's context condition collapses to one masked
@@ -59,9 +59,9 @@ const USER_SHIFT: u32 = 2 * FIELD_BITS;
 const CAT_SHIFT: u32 = FIELD_BITS;
 
 /// Distinct interface source prefixes representable in the per-event
-/// bitmask; rules referencing prefixes beyond this fall back to the
-/// interpreted path (and the packed cache is disabled — the mask no
-/// longer separates all distinguishable events).
+/// bitmask; rules referencing prefixes beyond this get no bit and fall
+/// back to the interpreted path (and the artifact is not cacheable —
+/// the mask no longer separates all distinguishable events).
 const MAX_PREFIXES: usize = 32;
 
 /// Number of dense database-event tables (one per [`DbEventKind`]).
@@ -756,17 +756,21 @@ pub(crate) fn compile<P>(rules: &[Rule<P>], generation: u64) -> CompiledRules {
                 source_prefix,
             } => {
                 if let Some(p) = source_prefix {
-                    let bit = prefixes.iter().position(|q| q == p).unwrap_or_else(|| {
-                        prefixes.push(p.clone());
-                        prefixes.len() - 1
+                    let bit = prefixes.iter().position(|q| q == p).or_else(|| {
+                        (prefixes.len() < MAX_PREFIXES).then(|| {
+                            prefixes.push(p.clone());
+                            prefixes.len() - 1
+                        })
                     });
-                    if bit < MAX_PREFIXES {
-                        cand.prefix_req = bit as u32 + 1;
-                    } else {
-                        // No mask bit left for this prefix: evaluate the
-                        // pattern on the interpreted path instead.
-                        prefix_overflow = true;
-                        cand.slow = true;
+                    match bit {
+                        Some(bit) => cand.prefix_req = bit as u32 + 1,
+                        // No mask bit left for this prefix: it stays out
+                        // of the mask, and the rule matches on the
+                        // interpreted path instead.
+                        None => {
+                            prefix_overflow = true;
+                            cand.slow = true;
+                        }
                     }
                 }
                 match name {

@@ -10,21 +10,18 @@
 //!
 //! Dispatch runs one of two strategies (see [`DispatchStrategy`]):
 //!
-//! * **Indexed** (the default): a discrimination index buckets rule
-//!   indices by event-pattern discriminant (per [`DbEventKind`],
-//!   interface/external by name, wildcard), so matching consults only the
-//!   buckets that can possibly match; a winner cache keyed on
-//!   `(event discriminant, user, category, application)` turns repeat
-//!   interactions — the same user clicking through the same windows,
-//!   paper Figs. 4–7 — into a hash lookup. Below
-//!   [`EngineConfig::hybrid_linear_threshold`] rules the index is skipped
-//!   and matching scans the rule vector directly (the index only pays
-//!   for itself once there is something to prune), but the winner cache
-//!   stays on. The cache is bounded
-//!   ([`EngineConfig::winner_cache_capacity`], two-segment generational
+//! * **Compiled** (the default): each published rule snapshot is lowered
+//!   once per content generation into flat per-event-kind jump tables
+//!   (see the `compiled` module), so matching walks only the candidates
+//!   that can match the event, as integer compares. A winner cache keyed
+//!   on the interned `(event discriminant, user, category, application)`
+//!   turns repeat interactions — the same user clicking through the same
+//!   windows, paper Figs. 4–7 — into one hash lookup. The cache is
+//!   bounded (8,192 entries per session, two-segment generational
 //!   eviction), invalidated by the rule-base epoch on any rule mutation,
 //!   and bypassed entirely while any enabled customization rule carries
-//!   a guard or extension dimensions (those must re-evaluate every time).
+//!   a guard or extension dimensions (those must re-evaluate every time)
+//!   or the tables cannot pack their keys.
 //! * **Linear**: the original scan over every registered rule, kept as
 //!   the differential-testing oracle.
 //!
@@ -35,8 +32,8 @@
 //!
 //! Since the concurrent-serving work (`docs/scaling.md`) the engine is a
 //! *session handle* over a shared, immutable [`RuleBase`]. Rule data
-//! (rules, interned names, discrimination index) lives in a
-//! generation-tagged snapshot published copy-on-write behind
+//! (rules, interned names, the name map) lives in a generation-tagged
+//! snapshot published copy-on-write behind
 //! `Mutex<Arc<RuleSnapshot>>` plus an atomic epoch. Readers keep a cached
 //! `Arc` to the snapshot and re-check the epoch with one atomic load per
 //! dispatch — the steady-state read path takes no lock and performs no
@@ -47,18 +44,14 @@
 //! dispatch fully in parallel. Fault health lives in shared atomic cells
 //! so quarantine decisions are global and exactly counted.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use geodb::query::DbEventKind;
-
 use crate::compiled::{compile, patch, CompileStats, CompiledRules, Delta, EventIds, RuleLite};
 use crate::context::SessionContext;
-use crate::event::{Event, EventPattern};
+use crate::event::Event;
 use crate::rule::{Action, Coupling, Rule, RuleGroup};
 use crate::trace::{SharedTrace, TraceEntry};
 
@@ -74,22 +67,16 @@ pub enum SelectionPolicy {
 /// How dispatch finds the matching rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchStrategy {
-    /// Discrimination index + winner cache (the default). Small rule
-    /// populations (≤ [`EngineConfig::hybrid_linear_threshold`]) are
-    /// scanned directly instead of through the index — the hybrid that
-    /// keeps cold dispatch no slower than [`DispatchStrategy::Linear`].
-    #[default]
-    Indexed,
-    /// Scan every registered rule — the differential-testing oracle.
-    Linear,
     /// Flat decision tables compiled once per published snapshot
     /// generation (see the `compiled` module): dense per-kind jump
     /// tables, interned contexts packed into a `u64` cache key, and
     /// pre-resolved specificity order so a cold most-specific dispatch
-    /// stops at the first matching candidate. Falls back to the direct
-    /// scan below [`EngineConfig::hybrid_linear_threshold`] like
-    /// [`DispatchStrategy::Indexed`] does.
+    /// stops at the first matching candidate. The production path, for
+    /// every rule population.
+    #[default]
     Compiled,
+    /// Scan every registered rule — the differential-testing oracle.
+    Linear,
 }
 
 /// What the engine does when a rule's action faults (panics or trips an
@@ -125,30 +112,24 @@ pub struct EngineConfig {
     /// skipped by matching until [`Engine::clear_quarantine`]). `0`
     /// disables quarantining.
     pub quarantine_threshold: u32,
-    /// Rule populations at or below this size are matched by scanning
-    /// the rule vector directly under [`DispatchStrategy::Indexed`]
-    /// (the winner cache stays active). `0` forces the discrimination
-    /// index for every population size.
-    pub hybrid_linear_threshold: usize,
-    /// Winner-cache entries retained before generational eviction kicks
-    /// in (see [`CacheStats::evictions`]).
-    pub winner_cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             selection: SelectionPolicy::MostSpecific,
-            strategy: DispatchStrategy::Indexed,
+            strategy: DispatchStrategy::Compiled,
             max_cascade_depth: 16,
             tracing: true,
             fault_policy: FaultPolicy::FailOpen,
             quarantine_threshold: 3,
-            hybrid_linear_threshold: 16,
-            winner_cache_capacity: 8192,
         }
     }
 }
+
+/// Winner-cache entries a session retains before generational eviction
+/// kicks in (see [`CacheStats::evictions`]).
+const WINNER_CACHE_CAPACITY: usize = 8192;
 
 /// The pseudo-rule name faults are attributed to when the
 /// `engine.cascade` failpoint trips while dequeuing a cascaded event
@@ -315,173 +296,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Discrimination index
-// ---------------------------------------------------------------------------
-
-/// Rule indices bucketed by event-pattern discriminant. An event only
-/// consults the buckets that can possibly match it, so wildcard-free rule
-/// populations dispatch in time proportional to the matching candidates,
-/// not the rule count.
-#[derive(Debug, Default, Clone)]
-struct Buckets {
-    db_by_kind: HashMap<DbEventKind, Vec<usize>>,
-    /// `Db` patterns with `kind: None` — match any database event.
-    db_any: Vec<usize>,
-    iface_by_name: HashMap<String, Vec<usize>>,
-    /// `Interface` patterns with `name: None` (e.g. source-prefix only).
-    iface_any: Vec<usize>,
-    ext_by_name: HashMap<String, Vec<usize>>,
-    ext_any: Vec<usize>,
-    /// `EventPattern::Any` — consulted for every event.
-    wildcard: Vec<usize>,
-}
-
-/// Visit the union of up to three ascending, disjoint index runs in
-/// ascending order — the allocation-free replacement for the old
-/// collect-into-scratch-then-sort candidate path, which dominated
-/// cold-dispatch cost (`BENCH_dispatch.json` regression).
-fn merge_runs(a: &[usize], b: &[usize], c: &[usize], f: &mut impl FnMut(usize)) {
-    // Overwhelmingly common: at most one run is non-empty.
-    match (a.is_empty(), b.is_empty(), c.is_empty()) {
-        (false, true, true) => return a.iter().for_each(|&i| f(i)),
-        (true, false, true) => return b.iter().for_each(|&i| f(i)),
-        (true, true, false) => return c.iter().for_each(|&i| f(i)),
-        (true, true, true) => return,
-        _ => {}
-    }
-    let (mut ia, mut ib, mut ic) = (0, 0, 0);
-    loop {
-        let na = a.get(ia).copied().unwrap_or(usize::MAX);
-        let nb = b.get(ib).copied().unwrap_or(usize::MAX);
-        let nc = c.get(ic).copied().unwrap_or(usize::MAX);
-        let m = na.min(nb).min(nc);
-        if m == usize::MAX {
-            return;
-        }
-        if m == na {
-            ia += 1;
-        } else if m == nb {
-            ib += 1;
-        } else {
-            ic += 1;
-        }
-        f(m);
-    }
-}
-
-impl Buckets {
-    fn insert(&mut self, idx: usize, pattern: &EventPattern) {
-        match pattern {
-            EventPattern::Any => self.wildcard.push(idx),
-            EventPattern::Db { kind: Some(k), .. } => {
-                self.db_by_kind.entry(*k).or_default().push(idx)
-            }
-            EventPattern::Db { kind: None, .. } => self.db_any.push(idx),
-            EventPattern::Interface { name: Some(n), .. } => {
-                self.iface_by_name.entry(n.clone()).or_default().push(idx)
-            }
-            EventPattern::Interface { name: None, .. } => self.iface_any.push(idx),
-            EventPattern::External { name: Some(n) } => {
-                self.ext_by_name.entry(n.clone()).or_default().push(idx)
-            }
-            EventPattern::External { name: None } => self.ext_any.push(idx),
-        }
-    }
-
-    /// Visit every candidate index for `event` in ascending registration
-    /// order (the order the linear scan uses), without allocating.
-    fn for_each_candidate(&self, event: &Event, f: &mut impl FnMut(usize)) {
-        let empty: &[usize] = &[];
-        let (keyed, any): (&[usize], &[usize]) = match event {
-            Event::Db(e) => (
-                self.db_by_kind.get(&e.kind()).map_or(empty, |v| v),
-                &self.db_any,
-            ),
-            Event::Interface { name, .. } => (
-                self.iface_by_name.get(name).map_or(empty, |v| v),
-                &self.iface_any,
-            ),
-            Event::External { name } => (
-                self.ext_by_name.get(name).map_or(empty, |v| v),
-                &self.ext_any,
-            ),
-        };
-        merge_runs(keyed, any, &self.wildcard, f);
-    }
-
-    fn buckets_mut(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
-        self.db_by_kind
-            .values_mut()
-            .chain(self.iface_by_name.values_mut())
-            .chain(self.ext_by_name.values_mut())
-            .chain([
-                &mut self.db_any,
-                &mut self.iface_any,
-                &mut self.ext_any,
-                &mut self.wildcard,
-            ])
-    }
-
-    /// Drop `removed` and shift every later index down by one.
-    fn remove_index(&mut self, removed: usize) {
-        for b in self.buckets_mut() {
-            b.retain_mut(|v| {
-                if *v == removed {
-                    return false;
-                }
-                if *v > removed {
-                    *v -= 1;
-                }
-                true
-            });
-        }
-    }
-
-    /// Drop a sorted batch of removed indices and remap the survivors.
-    fn remap_removed(&mut self, removed: &[usize]) {
-        for b in self.buckets_mut() {
-            b.retain_mut(|v| match removed.binary_search(v) {
-                Ok(_) => false,
-                Err(shift) => {
-                    *v -= shift;
-                    true
-                }
-            });
-        }
-    }
-}
-
-#[derive(Debug, Default, Clone)]
-struct RuleIndex {
-    cust: Buckets,
-    other: Buckets,
-    /// Enabled customization rules the winner cache cannot represent
-    /// (guard or extension-dimension conditions). While non-zero the
-    /// cache is bypassed entirely.
-    uncacheable_cust: usize,
-}
-
-impl RuleIndex {
-    fn insert(&mut self, idx: usize, group: RuleGroup, pattern: &EventPattern) {
-        if group == RuleGroup::Customization {
-            self.cust.insert(idx, pattern);
-        } else {
-            self.other.insert(idx, pattern);
-        }
-    }
-
-    fn remove_index(&mut self, removed: usize) {
-        self.cust.remove_index(removed);
-        self.other.remove_index(removed);
-    }
-
-    fn remap_removed(&mut self, removed: &[usize]) {
-        self.cust.remap_removed(removed);
-        self.other.remap_removed(removed);
-    }
-}
-
 /// A customization rule whose match cannot be keyed by the winner cache:
 /// guards see arbitrary state, and extension dimensions are outside the
 /// cache key. Such rules must re-evaluate on every dispatch.
@@ -493,137 +307,31 @@ fn rule_uncacheable<P>(r: &Rule<P>) -> bool {
 // Winner cache
 // ---------------------------------------------------------------------------
 
-/// The event fields that rule patterns can observe, owned for storage in
-/// a cache slot. Two events with equal keys match exactly the same
-/// pattern set.
-#[derive(Debug, Clone, PartialEq)]
-enum EventKey {
-    Db {
-        kind: DbEventKind,
-        schema: String,
-        class: Option<String>,
-    },
-    Interface {
-        name: String,
-        source: String,
-    },
-    External {
-        name: String,
-    },
-}
-
-impl EventKey {
-    fn of(event: &Event) -> EventKey {
-        match event {
-            Event::Db(e) => EventKey::Db {
-                kind: e.kind(),
-                schema: e.schema().to_string(),
-                class: e.class().map(str::to_string),
-            },
-            Event::Interface { name, source } => EventKey::Interface {
-                name: name.clone(),
-                source: source.clone(),
-            },
-            Event::External { name } => EventKey::External { name: name.clone() },
-        }
-    }
-
-    /// Borrow-compare against a live event (no allocation on the hit path).
-    fn matches(&self, event: &Event) -> bool {
-        match (self, event) {
-            (
-                EventKey::Db {
-                    kind,
-                    schema,
-                    class,
-                },
-                Event::Db(e),
-            ) => {
-                *kind == e.kind() && schema.as_str() == e.schema() && class.as_deref() == e.class()
-            }
-            (
-                EventKey::Interface { name, source },
-                Event::Interface {
-                    name: en,
-                    source: es,
-                },
-            ) => name == en && source == es,
-            (EventKey::External { name }, Event::External { name: en }) => name == en,
-            _ => false,
-        }
-    }
-}
-
-/// Hash of the cache key `(event discriminant, user, category,
-/// application)`, computed without allocating.
-fn cache_key_hash(event: &Event, ctx: &SessionContext) -> u64 {
-    let mut h = DefaultHasher::new();
-    match event {
-        Event::Db(e) => {
-            0u8.hash(&mut h);
-            e.kind().hash(&mut h);
-            e.schema().hash(&mut h);
-            e.class().hash(&mut h);
-        }
-        Event::Interface { name, source } => {
-            1u8.hash(&mut h);
-            name.hash(&mut h);
-            source.hash(&mut h);
-        }
-        Event::External { name } => {
-            2u8.hash(&mut h);
-            name.hash(&mut h);
-        }
-    }
-    ctx.user.hash(&mut h);
-    ctx.category.hash(&mut h);
-    ctx.application.hash(&mut h);
-    h.finish()
-}
-
-/// A cached customization-matching result. Selection is cached in a
-/// policy-independent form: the full matched set (ascending registration
-/// order, what `FireAll` needs) plus the most-specific winner.
+/// A cached customization-matching result, keyed by the compiled tier's
+/// interned `(event discriminant, packed context)` pair — exact by
+/// construction while [`CompiledRules::cacheable`] holds, so a hit needs
+/// no verification. Selection is cached in a policy-independent form:
+/// the matched set (ascending registration order, what `FireAll` needs)
+/// plus the most-specific winner.
 #[derive(Debug)]
 struct CacheSlot {
-    event: EventKey,
-    user: String,
-    category: String,
-    application: String,
     matched_cust: Vec<usize>,
     winner: Option<usize>,
 }
 
-impl CacheSlot {
-    fn matches(&self, event: &Event, ctx: &SessionContext) -> bool {
-        self.user == ctx.user
-            && self.category == ctx.category
-            && self.application == ctx.application
-            && self.event.matches(event)
-    }
-}
-
 /// Bounded winner cache: two generational segments (`hot`, `cold`).
-/// Inserts land in `hot`; when `hot` reaches half the configured
-/// capacity the `cold` segment is discarded (counted in `evictions`)
-/// and `hot` is demoted wholesale — a scan-resistant approximation of
-/// LRU that costs O(1) per insert and never holds more than
-/// `winner_cache_capacity` entries. Lookups probe `hot` then `cold`,
-/// promoting cold hits back into `hot`, so a working set that fits in
-/// capacity keeps hitting across demotions. Millions of distinct
-/// `(event, user, category, application)` contexts therefore recycle a
-/// fixed footprint instead of growing without bound.
+/// Inserts land in `hot`; when `hot` reaches half the capacity the
+/// `cold` segment is discarded (counted in `evictions`) and `hot` is
+/// demoted wholesale — a scan-resistant approximation of LRU that costs
+/// O(1) per insert and never holds more than the capacity. Lookups probe
+/// `hot` then `cold`, promoting cold hits back into `hot`, so a working
+/// set that fits in capacity keeps hitting across demotions. Millions of
+/// distinct `(event, user, category, application)` contexts therefore
+/// recycle a fixed footprint instead of growing without bound.
 #[derive(Debug, Default)]
 struct WinnerCache {
-    hot: HashMap<u64, Vec<CacheSlot>>,
-    cold: HashMap<u64, Vec<CacheSlot>>,
-    /// Packed-key segments used by the compiled tier: the key is the
-    /// interned `(event discriminant, packed context)` pair, exact by
-    /// construction — no slot verification, no string storage.
-    phot: HashMap<(u64, u64), PackedSlot>,
-    pcold: HashMap<(u64, u64), PackedSlot>,
-    hot_len: usize,
-    cold_len: usize,
+    hot: HashMap<(u64, u64), CacheSlot>,
+    cold: HashMap<(u64, u64), CacheSlot>,
     /// Rule-base epoch the contents were computed under.
     generation: u64,
     hits: u64,
@@ -634,90 +342,31 @@ struct WinnerCache {
 
 impl WinnerCache {
     fn len(&self) -> usize {
-        self.hot_len + self.cold_len
+        self.hot.len() + self.cold.len()
     }
 
     fn flush(&mut self) {
         self.hot.clear();
         self.cold.clear();
-        self.phot.clear();
-        self.pcold.clear();
-        self.hot_len = 0;
-        self.cold_len = 0;
     }
 
-    fn lookup(&mut self, hash: u64, event: &Event, ctx: &SessionContext) -> Option<&CacheSlot> {
-        let hot_pos = self
-            .hot
-            .get(&hash)
-            .and_then(|v| v.iter().position(|s| s.matches(event, ctx)));
-        if let Some(pos) = hot_pos {
-            return self.hot.get(&hash).map(|v| &v[pos]);
+    fn lookup(&mut self, key: (u64, u64)) -> Option<&CacheSlot> {
+        if self.hot.contains_key(&key) {
+            return self.hot.get(&key);
         }
         // Cold hit: promote the slot into the hot segment so the live
         // working set survives the next demotion.
-        let slot = {
-            let v = self.cold.get_mut(&hash)?;
-            let pos = v.iter().position(|s| s.matches(event, ctx))?;
-            let s = v.swap_remove(pos);
-            if v.is_empty() {
-                self.cold.remove(&hash);
-            }
-            s
-        };
-        self.cold_len -= 1;
-        self.hot_len += 1;
-        let v = self.hot.entry(hash).or_default();
-        v.push(slot);
-        v.last()
+        let slot = self.cold.remove(&key)?;
+        Some(self.hot.entry(key).or_insert(slot))
     }
 
-    fn insert(&mut self, hash: u64, slot: CacheSlot, capacity: usize) {
-        self.demote_if_full(capacity);
-        self.hot.entry(hash).or_default().push(slot);
-        self.hot_len += 1;
-    }
-
-    /// Generational demotion shared by both key spaces: `hot_len` /
-    /// `cold_len` count string- and packed-keyed slots together, so one
-    /// demotion rotates both segment pairs and the configured capacity
-    /// bounds the combined footprint.
-    fn demote_if_full(&mut self, capacity: usize) {
-        let segment = (capacity / 2).max(1);
-        if self.hot_len >= segment {
-            let dropped = self.cold_len;
+    fn insert(&mut self, key: (u64, u64), slot: CacheSlot, capacity: usize) {
+        if self.hot.len() >= (capacity / 2).max(1) {
+            self.evictions += self.cold.len() as u64;
             self.cold = std::mem::take(&mut self.hot);
-            self.pcold = std::mem::take(&mut self.phot);
-            self.cold_len = std::mem::replace(&mut self.hot_len, 0);
-            self.evictions += dropped as u64;
         }
+        self.hot.insert(key, slot);
     }
-
-    fn lookup_packed(&mut self, key: (u64, u64)) -> Option<&PackedSlot> {
-        if self.phot.contains_key(&key) {
-            return self.phot.get(&key);
-        }
-        let slot = self.pcold.remove(&key)?;
-        self.cold_len -= 1;
-        self.hot_len += 1;
-        Some(self.phot.entry(key).or_insert(slot))
-    }
-
-    fn insert_packed(&mut self, key: (u64, u64), slot: PackedSlot, capacity: usize) {
-        self.demote_if_full(capacity);
-        if self.phot.insert(key, slot).is_none() {
-            self.hot_len += 1;
-        }
-    }
-}
-
-/// A packed-key cached matching result (compiled tier): same payload as
-/// [`CacheSlot`] minus the verification strings — the interned key is
-/// collision-free while [`CompiledRules::cacheable`] holds.
-#[derive(Debug)]
-struct PackedSlot {
-    matched_cust: Vec<usize>,
-    winner: Option<usize>,
 }
 
 /// Reusable per-dispatch buffers. Private to the session handle, so the
@@ -751,7 +400,7 @@ type DeferredFiring<P> = (Arc<str>, Arc<Action<P>>, Event, SessionContext);
 type QueuedEvent = (usize, Event, Option<Arc<str>>);
 
 /// The immutable rule data a dispatch reads: rules, interned names, the
-/// name map, the discrimination index and the shared health cells.
+/// name map, the cacheability count and the shared health cells.
 /// Published copy-on-write — a snapshot is never mutated after another
 /// session can observe it.
 struct RuleSnapshot<P> {
@@ -759,7 +408,10 @@ struct RuleSnapshot<P> {
     /// Interned rule names, parallel to `rules`; firing clones a pointer.
     names: Vec<Arc<str>>,
     by_name: HashMap<String, usize>,
-    index: RuleIndex,
+    /// Enabled customization rules the winner cache cannot represent
+    /// (guard or extension-dimension conditions). While non-zero the
+    /// cache is bypassed entirely.
+    uncacheable_cust: usize,
     /// Shared fault-health cells, parallel to `rules`. The `Arc`s
     /// survive copy-on-write clones, so every session sees the same
     /// counters.
@@ -774,7 +426,7 @@ impl<P> RuleSnapshot<P> {
             rules: Vec::new(),
             names: Vec::new(),
             by_name: HashMap::new(),
-            index: RuleIndex::default(),
+            uncacheable_cust: 0,
             health: Vec::new(),
             generation: 0,
         }
@@ -787,7 +439,7 @@ impl<P: Clone> Clone for RuleSnapshot<P> {
             rules: self.rules.clone(),
             names: self.names.clone(),
             by_name: self.by_name.clone(),
-            index: self.index.clone(),
+            uncacheable_cust: self.uncacheable_cust,
             health: self.health.clone(),
             generation: self.generation,
         }
@@ -802,9 +454,8 @@ impl<P: Clone> RuleSnapshot<P> {
         let idx = self.rules.len();
         self.by_name.insert(rule.name.clone(), idx);
         self.names.push(Arc::from(rule.name.as_str()));
-        self.index.insert(idx, rule.group, &rule.event);
         if rule_uncacheable(&rule) {
-            self.index.uncacheable_cust += 1;
+            self.uncacheable_cust += 1;
         }
         self.rules.push(rule);
         self.health.push(Arc::new(HealthCell::default()));
@@ -822,9 +473,8 @@ impl<P: Clone> RuleSnapshot<P> {
             quarantined.fetch_sub(1, Ordering::Relaxed);
         }
         if rule_uncacheable(&rule) {
-            self.index.uncacheable_cust -= 1;
+            self.uncacheable_cust -= 1;
         }
-        self.index.remove_index(idx);
         for v in self.by_name.values_mut() {
             if *v > idx {
                 *v -= 1;
@@ -842,9 +492,9 @@ impl<P: Clone> RuleSnapshot<P> {
         self.rules[idx].enabled = enabled;
         let now = rule_uncacheable(&self.rules[idx]);
         if now && !was {
-            self.index.uncacheable_cust += 1;
+            self.uncacheable_cust += 1;
         } else if was && !now {
-            self.index.uncacheable_cust -= 1;
+            self.uncacheable_cust -= 1;
         }
         Ok(())
     }
@@ -862,7 +512,7 @@ impl<P: Clone> RuleSnapshot<P> {
         }
         for &i in &removed {
             if rule_uncacheable(&self.rules[i]) {
-                self.index.uncacheable_cust -= 1;
+                self.uncacheable_cust -= 1;
             }
         }
         for &i in &removed {
@@ -887,7 +537,6 @@ impl<P: Clone> RuleSnapshot<P> {
         for v in self.by_name.values_mut() {
             *v -= removed.partition_point(|&r| r < *v);
         }
-        self.index.remap_removed(&removed);
         removed.len()
     }
 }
@@ -1261,8 +910,7 @@ impl<P: Clone> Engine<P> {
 
     pub fn set_strategy(&mut self, strategy: DispatchStrategy) {
         if self.config.strategy != strategy {
-            // String- and packed-key slots don't carry over between
-            // strategies; start the new arm cold.
+            // Start the new arm cold.
             self.state.cache.flush();
         }
         self.config.strategy = strategy;
@@ -1417,6 +1065,22 @@ impl<P: Clone> Engine<P> {
             .map(|c| c.stats)
     }
 
+    /// When the content generation moved (or on the first compiled
+    /// dispatch), refresh the session memo from the shared artifact
+    /// cache. This — not the per-event hot loop — is where compile cost
+    /// lands, once per generation per base.
+    fn refresh_compiled(&mut self) {
+        if self.config.strategy == DispatchStrategy::Compiled
+            && self
+                .state
+                .compiled
+                .as_ref()
+                .is_none_or(|c| c.generation != self.snap.generation)
+        {
+            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
+        }
+    }
+
     fn sync_snapshot(&mut self) {
         let epoch = self.shared.epoch.load(Ordering::Acquire);
         if epoch == self.snap_epoch {
@@ -1491,7 +1155,7 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Remove a rule by name. Later rules shift down one slot; the name
-    /// map and index buckets are adjusted in place (no rebuild).
+    /// map is adjusted in place (no rebuild).
     pub fn remove_rule(&mut self, name: &str) -> Result<Rule<P>, ActiveError> {
         self.try_mutate(|snap, shared| {
             let idx = snap.by_name.get(name).copied();
@@ -1593,20 +1257,7 @@ impl<P: Clone> Engine<P> {
         if self.auto_sync {
             self.sync_snapshot();
         }
-        if self.config.strategy == DispatchStrategy::Compiled
-            && self.snap.rules.len() > self.config.hybrid_linear_threshold
-            && self
-                .state
-                .compiled
-                .as_ref()
-                .is_none_or(|c| c.generation != self.snap.generation)
-        {
-            // Content generation moved (or first compiled dispatch):
-            // refresh the session memo from the shared artifact cache.
-            // This — not the per-event hot loop — is where compile cost
-            // lands, once per generation per base.
-            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
-        }
+        self.refresh_compiled();
         let deferred_mark = self.state.deferred.len();
         let Engine {
             shared,
@@ -1649,16 +1300,7 @@ impl<P: Clone> Engine<P> {
         if self.auto_sync {
             self.sync_snapshot();
         }
-        if self.config.strategy == DispatchStrategy::Compiled
-            && self.snap.rules.len() > self.config.hybrid_linear_threshold
-            && self
-                .state
-                .compiled
-                .as_ref()
-                .is_none_or(|c| c.generation != self.snap.generation)
-        {
-            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
-        }
+        self.refresh_compiled();
         let mut lane = BatchLane::default();
         let events = events.into_iter();
         let mut results = Vec::with_capacity(events.size_hint().0);
@@ -1857,15 +1499,29 @@ fn note_anonymous_fault<P>(shared: &EngineShared<P>) {
 struct BatchLane {
     /// Packed context key, computed on first compiled use.
     ctx_packed: Option<u64>,
-    /// The last root event and the jump-table route it resolved to.
+    /// The last root event and the jump-table route it resolved to. The
+    /// event moves in once its dispatch is done with it — no clone.
     route: Option<(Event, EventIds)>,
     /// Memoized customization selection (matched set + winner) for the
-    /// memoized route — the packed winner-cache slot, without the probe.
-    selection: Option<(Vec<usize>, Option<usize>)>,
-    /// Epoch `selection` was recorded under.
+    /// memoized route — the winner-cache slot, without the probe. Valid
+    /// while `selected`; the buffer is reused from run to run.
+    matched: Vec<usize>,
+    winner: Option<usize>,
+    selected: bool,
+    /// Epoch the selection was recorded under.
     epoch: u64,
     /// Per-batch metric tallies, flushed to the registry once.
     tallies: BatchTallies,
+}
+
+impl BatchLane {
+    fn remember(&mut self, matched: &[usize], winner: Option<usize>, epoch: u64) {
+        self.matched.clear();
+        self.matched.extend_from_slice(matched);
+        self.winner = winner;
+        self.selected = true;
+        self.epoch = epoch;
+    }
 }
 
 /// Dispatch metric tallies accumulated across a batch so the registry
@@ -1884,7 +1540,6 @@ struct BatchTallies {
     max_cascade_depth: u64,
     arm_cached: u64,
     arm_compiled: u64,
-    arm_indexed: u64,
     arm_linear: u64,
 }
 
@@ -1896,7 +1551,6 @@ fn flush_batch_tallies(t: &BatchTallies, deferred_len: usize) {
     for (arm, n) in [
         ("cached", t.arm_cached),
         ("compiled", t.arm_compiled),
-        ("indexed", t.arm_indexed),
         ("linear", t.arm_linear),
     ] {
         if n > 0 {
@@ -1967,30 +1621,21 @@ fn dispatch_inner<P: Clone>(
     let mut m_max_depth = 0usize;
     let evictions_before = cache.evictions;
 
-    // Below the hybrid threshold neither the discrimination index nor
-    // the compiled tables can beat a straight scan of the rule vector;
-    // the winner cache stays active either way.
-    let small = snap.rules.len() <= config.hybrid_linear_threshold;
-    let scan_all = config.strategy == DispatchStrategy::Linear || small;
-    // The compiled tables for this snapshot generation, when this
-    // session runs the compiled tier above the threshold. `dispatch()`
-    // refreshes the memo before calling in; a `None` here (direct
-    // `dispatch_inner` reentry after an unseen generation flip) falls
-    // back to the discrimination index for this dispatch.
-    let compiled: Option<&CompiledRules> =
-        if config.strategy == DispatchStrategy::Compiled && !small {
-            compiled_memo
-                .as_deref()
-                .filter(|c| c.generation == snap.generation)
-        } else {
-            None
-        };
+    // The compiled tables for this snapshot generation; `None` runs the
+    // linear oracle. `dispatch()` refreshes the memo before calling in,
+    // and content generations cannot move mid-dispatch, so under
+    // `Compiled` the filter always passes.
+    let compiled: Option<&CompiledRules> = if config.strategy == DispatchStrategy::Compiled {
+        compiled_memo
+            .as_deref()
+            .filter(|c| c.generation == snap.generation)
+    } else {
+        None
+    };
     // The cache is only sound while every enabled customization rule
-    // is a pure function of the cache key.
-    let cache_ok = config.strategy != DispatchStrategy::Linear && snap.index.uncacheable_cust == 0;
-    // The compiled tier upgrades the cache key to the interned packed
-    // form: no hashing of strings, no slot verification on hit.
-    let packed_ok = cache_ok && compiled.is_some_and(|c| c.cacheable);
+    // is a pure function of the cache key, and the key is the tables'
+    // interned packed form: a degraded artifact runs uncached.
+    let cache_ok = snap.uncacheable_cust == 0 && compiled.is_some_and(|c| c.cacheable);
     // The context is fixed across a batch, so the lane packs it once.
     let ctx_packed = if let Some(l) = lane.as_deref_mut() {
         *l.ctx_packed
@@ -2078,6 +1723,9 @@ fn dispatch_inner<P: Clone>(
         // In a batch, a run of identical root events resolves the route
         // once and replays it (`CompiledRules::table` — no hashing).
         let mut route_hit = false;
+        // A root event that missed the lane's route memo replaces it
+        // once this step is done with the event.
+        let mut new_route: Option<EventIds> = None;
         let routed = match (lane.as_deref_mut(), compiled) {
             (Some(l), Some(c)) if depth == 0 => Some(match &l.route {
                 Some((ev, ids)) if *ev == event => {
@@ -2086,8 +1734,9 @@ fn dispatch_inner<P: Clone>(
                 }
                 _ => {
                     let r = c.lookup(&event);
-                    l.route = Some((event.clone(), r.1));
-                    l.selection = None;
+                    l.route = None;
+                    l.selected = false;
+                    new_route = Some(r.1);
                     r
                 }
             }),
@@ -2097,54 +1746,40 @@ fn dispatch_inner<P: Clone>(
         // matching for this event; the winner itself may be `None`
         // (negative results are cached too).
         let mut cached_winner: Option<Option<usize>> = None;
-        let mut hash = None;
-        let mut pkey: Option<(u64, u64)> = None;
+        let mut cache_key: Option<(u64, u64)> = None;
 
-        if packed_ok {
+        if cache_ok {
             let key = (
-                routed.as_ref().expect("packed_ok implies routed").1.key,
+                routed.as_ref().expect("cache_ok implies routed").1.key,
                 ctx_packed,
             );
-            pkey = Some(key);
-            // Lane selection memo: exactly a packed-cache slot for the
+            cache_key = Some(key);
+            // Lane selection memo: exactly a winner-cache slot for the
             // memoized route, minus the probe. Sound under the same
             // invariant — the epoch check invalidates it whenever
             // quarantine (or anything else) flips rule visibility.
             if route_hit {
                 if let Some(l) = lane.as_deref() {
-                    if l.epoch == *snap_epoch {
-                        if let Some((mc, w)) = &l.selection {
-                            s.matched_cust.extend_from_slice(mc);
-                            cached_winner = Some(*w);
-                            m_hits += 1;
-                        }
+                    if l.selected && l.epoch == *snap_epoch {
+                        s.matched_cust.extend_from_slice(&l.matched);
+                        cached_winner = Some(l.winner);
+                        m_hits += 1;
                     }
                 }
             }
             if cached_winner.is_none() {
-                if let Some(slot) = cache.lookup_packed(key) {
+                if let Some(slot) = cache.lookup(key) {
                     s.matched_cust.extend_from_slice(&slot.matched_cust);
                     cached_winner = Some(slot.winner);
                     m_hits += 1;
                     if depth == 0 {
                         if let Some(l) = lane.as_deref_mut() {
-                            l.selection = Some((slot.matched_cust.clone(), slot.winner));
-                            l.epoch = *snap_epoch;
+                            l.remember(&slot.matched_cust, slot.winner, *snap_epoch);
                         }
                     }
                 } else {
                     m_misses += 1;
                 }
-            }
-        } else if cache_ok {
-            let h = cache_key_hash(&event, ctx);
-            hash = Some(h);
-            if let Some(slot) = cache.lookup(h, &event, ctx) {
-                s.matched_cust.extend_from_slice(&slot.matched_cust);
-                cached_winner = Some(slot.winner);
-                m_hits += 1;
-            } else {
-                m_misses += 1;
             }
         }
         if let Some((table, ids)) = &routed {
@@ -2192,14 +1827,11 @@ fn dispatch_inner<P: Clone>(
                     s.matched_other.push(i);
                 }
             }
-        } else if scan_all {
+        } else {
+            // The linear oracle: test every registered rule.
             m_considered += snap.rules.len() as u64;
-            let cust_cached = cached_winner.is_some();
             for (i, r) in snap.rules.iter().enumerate() {
-                if (cust_cached && r.group == RuleGroup::Customization)
-                    || snap.health[i].is_quarantined()
-                    || !r.matches(&event, ctx)
-                {
+                if snap.health[i].is_quarantined() || !r.matches(&event, ctx) {
                     continue;
                 }
                 if r.group == RuleGroup::Customization {
@@ -2208,23 +1840,6 @@ fn dispatch_inner<P: Clone>(
                     s.matched_other.push(i);
                 }
             }
-        } else {
-            if cached_winner.is_none() {
-                let matched_cust = &mut s.matched_cust;
-                snap.index.cust.for_each_candidate(&event, &mut |i| {
-                    m_considered += 1;
-                    if !snap.health[i].is_quarantined() && snap.rules[i].matches(&event, ctx) {
-                        matched_cust.push(i);
-                    }
-                });
-            }
-            let matched_other = &mut s.matched_other;
-            snap.index.other.for_each_candidate(&event, &mut |i| {
-                m_considered += 1;
-                if !snap.health[i].is_quarantined() && snap.rules[i].matches(&event, ctx) {
-                    matched_other.push(i);
-                }
-            });
         }
 
         // Customization selection: specificity, then designer
@@ -2238,34 +1853,20 @@ fn dispatch_inner<P: Clone>(
                     let r = &rules[i];
                     (r.specificity(), r.priority, i)
                 });
-                if let Some(key) = pkey {
-                    cache.insert_packed(
+                if let Some(key) = cache_key {
+                    cache.insert(
                         key,
-                        PackedSlot {
+                        CacheSlot {
                             matched_cust: s.matched_cust.clone(),
                             winner: w,
                         },
-                        config.winner_cache_capacity,
+                        WINNER_CACHE_CAPACITY,
                     );
                     if depth == 0 {
                         if let Some(l) = lane.as_deref_mut() {
-                            l.selection = Some((s.matched_cust.clone(), w));
-                            l.epoch = *snap_epoch;
+                            l.remember(&s.matched_cust, w, *snap_epoch);
                         }
                     }
-                } else if let Some(h) = hash {
-                    cache.insert(
-                        h,
-                        CacheSlot {
-                            event: EventKey::of(&event),
-                            user: ctx.user.clone(),
-                            category: ctx.category.clone(),
-                            application: ctx.application.clone(),
-                            matched_cust: s.matched_cust.clone(),
-                            winner: w,
-                        },
-                        config.winner_cache_capacity,
-                    );
                 }
                 w
             }
@@ -2298,7 +1899,7 @@ fn dispatch_inner<P: Clone>(
         m_matched += (s.matched_cust.len() + s.matched_other.len()) as u64;
         m_fired += s.to_fire.len() as u64;
 
-        // Execute (or queue, for deferred-coupling rules). Indexed by
+        // Execute (or queue, for deferred-coupling rules). Walked by
         // position because actions push into `s.queue`.
         let fired_start = outcome.fired.len();
         for k in 0..s.to_fire.len() {
@@ -2378,22 +1979,22 @@ fn dispatch_inner<P: Clone>(
                     .collect(),
             });
         }
+        if let (Some(ids), Some(l)) = (new_route, lane.as_deref_mut()) {
+            l.route = Some((event, ids));
+        }
     }
     outcome.trace = trace.into();
 
     cache.hits += m_hits;
     cache.misses += m_misses;
-    // Which dispatch arm answered this request: the winner cache,
-    // the compiled tables, the discrimination index, or the
-    // straight linear scan.
+    // Which dispatch arm answered this request: the winner cache, the
+    // compiled tables, or the linear oracle.
     let arm = if cache_ok && m_hits > 0 && m_misses == 0 {
         "cached"
     } else if compiled.is_some() {
         "compiled"
-    } else if scan_all {
-        "linear"
     } else {
-        "indexed"
+        "linear"
     };
     if let Some(l) = lane {
         // Batched: accumulate into the lane and flush once per batch.
@@ -2410,8 +2011,7 @@ fn dispatch_inner<P: Clone>(
         match arm {
             "cached" => t.arm_cached += 1,
             "compiled" => t.arm_compiled += 1,
-            "linear" => t.arm_linear += 1,
-            _ => t.arm_indexed += 1,
+            _ => t.arm_linear += 1,
         }
     } else if obs::enabled() {
         let shard = obs::current_shard().to_string();
@@ -2496,7 +2096,8 @@ fn run_action<P: Clone>(
 mod tests {
     use super::*;
     use crate::context::ContextPattern;
-    use geodb::query::DbEvent;
+    use crate::event::EventPattern;
+    use geodb::query::{DbEvent, DbEventKind};
 
     fn get_schema() -> Event {
         Event::Db(DbEvent::GetSchema {
@@ -2711,7 +2312,7 @@ mod tests {
         // Regression: removals used to rebuild `by_name` from scratch;
         // the in-place remap must leave every surviving name resolving
         // to its own rule, across single and batch removal, for every
-        // bucket family.
+        // event family the jump tables route by.
         let mut eng: Engine<&str> = Engine::new();
         let mk = |name: &str, event: EventPattern| {
             Rule::customization(name, event, ContextPattern::any(), "p")
@@ -2751,7 +2352,7 @@ mod tests {
         for name in ["db/get_class", "iface/click"] {
             assert_eq!(eng.rule(name).unwrap().name, name);
         }
-        // And the buckets still dispatch the right rules.
+        // And the recompiled tables still dispatch the right rules.
         let out = eng
             .dispatch(
                 Event::Db(DbEvent::GetClass {
@@ -2803,85 +2404,34 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_generationally() {
-        let mut eng: Engine<&str> = Engine::with_config(EngineConfig {
-            winner_cache_capacity: 8,
-            ..Default::default()
-        });
-        eng.add_rule(cust("a", ContextPattern::any(), "a")).unwrap();
+        // Driven directly: under the packed key every user no rule names
+        // interns to the same context, so distinct users alone would
+        // share one entry.
+        let mut cache = WinnerCache::default();
+        let key = |i: u64| (1, i);
+        let slot = || CacheSlot {
+            matched_cust: vec![0],
+            winner: Some(0),
+        };
 
-        // 20 distinct users: the cache must stay bounded at capacity.
+        // 20 distinct keys: the cache must stay bounded at capacity.
         for i in 0..20 {
-            let ctx = SessionContext::new(format!("u{i}"), "c", "app");
-            eng.dispatch(get_schema(), &ctx).unwrap();
+            assert!(cache.lookup(key(i)).is_none());
+            cache.insert(key(i), slot(), 8);
         }
-        let stats = eng.cache_stats();
-        assert_eq!(stats.misses, 20);
-        assert_eq!(stats.entries, 8, "hot + cold segments hold capacity");
+        assert_eq!(cache.len(), 8, "hot + cold segments hold capacity");
         // Segment rotations: inserts 5, 9, 13 and 17 rotate; the last
         // three each drop a full 4-entry cold segment.
-        assert_eq!(stats.evictions, 12);
+        assert_eq!(cache.evictions, 12);
+        assert!(cache.lookup(key(0)).is_none(), "oldest key was evicted");
 
-        // The most recent user sits in the hot segment.
-        let recent = SessionContext::new("u19", "c", "app");
-        eng.dispatch(get_schema(), &recent).unwrap();
-        assert_eq!(eng.cache_stats().hits, 1);
-        // A mid-age user sits in the cold segment: hit + promotion, the
+        // The most recent key sits in the hot segment.
+        assert!(cache.lookup(key(19)).is_some());
+        // A mid-age key sits in the cold segment: hit + promotion, the
         // total entry count does not change.
-        let mid = SessionContext::new("u13", "c", "app");
-        eng.dispatch(get_schema(), &mid).unwrap();
-        let stats = eng.cache_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.entries, 8);
-    }
-
-    #[test]
-    fn hybrid_threshold_matches_pure_index() {
-        // 24 rules (> default threshold) dispatched under a forced-index
-        // configuration and a forced-scan configuration must agree, and
-        // the winner cache works in both.
-        let build = |threshold: usize| {
-            let mut eng: Engine<String> = Engine::with_config(EngineConfig {
-                hybrid_linear_threshold: threshold,
-                ..Default::default()
-            });
-            for i in 0..12 {
-                eng.add_rule(Rule::customization(
-                    format!("ext{i}"),
-                    EventPattern::External {
-                        name: Some(format!("e{i}")),
-                    },
-                    ContextPattern::any(),
-                    format!("p{i}"),
-                ))
-                .unwrap();
-                eng.add_rule(Rule::customization(
-                    format!("user{i}"),
-                    EventPattern::db(DbEventKind::GetSchema),
-                    ContextPattern::for_user(format!("u{i}")),
-                    format!("q{i}"),
-                ))
-                .unwrap();
-            }
-            eng
-        };
-        let mut indexed = build(0);
-        let mut scanned = build(1000);
-        assert!(indexed.len() > 16);
-
-        for round in 0..2 {
-            for i in 0..12 {
-                let ctx = SessionContext::new(format!("u{i}"), "c", "app");
-                for event in [get_schema(), Event::external(format!("e{i}"))] {
-                    let a = indexed.dispatch(event.clone(), &ctx).unwrap();
-                    let b = scanned.dispatch(event.clone(), &ctx).unwrap();
-                    assert_eq!(a.customizations, b.customizations, "round {round}");
-                    assert_eq!(a.fired_names(), b.fired_names());
-                }
-            }
-        }
-        // Both variants served round 2 from their winner caches.
-        assert!(indexed.cache_stats().hits >= 24);
-        assert!(scanned.cache_stats().hits >= 24);
+        assert!(cache.lookup(key(13)).is_some());
+        assert_eq!(cache.len(), 8);
+        assert!(cache.hot.contains_key(&key(13)));
     }
 
     #[test]
@@ -2938,7 +2488,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_agree_on_a_mixed_rule_set() {
+    fn compiled_and_linear_agree_on_a_mixed_rule_set() {
         let build = |strategy: DispatchStrategy| {
             let mut eng: Engine<&str> = Engine::with_config(EngineConfig {
                 strategy,
@@ -2974,7 +2524,7 @@ mod tests {
             .unwrap();
             eng
         };
-        let mut indexed = build(DispatchStrategy::Indexed);
+        let mut compiled = build(DispatchStrategy::default());
         let mut linear = build(DispatchStrategy::Linear);
 
         let events = [
@@ -2990,7 +2540,7 @@ mod tests {
             for ctx in [session(), SessionContext::new("guest", "visitor", "x")] {
                 // Twice per pair so the second round hits the cache.
                 for _ in 0..2 {
-                    let a = indexed.dispatch(event.clone(), &ctx).unwrap();
+                    let a = compiled.dispatch(event.clone(), &ctx).unwrap();
                     let b = linear.dispatch(event.clone(), &ctx).unwrap();
                     assert_eq!(a.customizations, b.customizations);
                     assert_eq!(a.fired_names(), b.fired_names());
@@ -3004,7 +2554,7 @@ mod tests {
                 }
             }
         }
-        assert!(indexed.cache_stats().hits > 0);
+        assert!(compiled.cache_stats().hits > 0);
     }
 
     #[test]
@@ -3035,8 +2585,6 @@ mod tests {
         let mut eng: Engine<&str> = Engine::with_config(EngineConfig {
             strategy,
             tracing,
-            // Force the tiered path even for this small population.
-            hybrid_linear_threshold: 0,
             ..Default::default()
         });
         eng.add_rule(cust("generic", ContextPattern::any(), "generic"))
@@ -3214,7 +2762,8 @@ mod tests {
         // FireAll over the early-exit-free walk still sees every match.
         let out = eng.dispatch(get_schema(), &session()).unwrap();
         assert_eq!(out.customizations.len(), 3);
-        eng.set_strategy(DispatchStrategy::Indexed);
+        assert!(eng.cache_stats().entries > 0);
+        eng.set_strategy(DispatchStrategy::Linear);
         assert_eq!(eng.cache_stats().entries, 0);
     }
 
@@ -3236,13 +2785,60 @@ mod tests {
         assert_eq!(out.customizations, vec!["cat"]);
         assert_eq!(eng.compiled_stats().unwrap().generation, gen_before);
     }
+
+    #[test]
+    fn prefixes_past_the_mask_width_stay_on_the_slow_lane() {
+        // 33 distinct interface source prefixes, one more than the
+        // compiled tables' per-event bitmask has bits. The last prefix
+        // gets no bit: its rule must match on the interpreted path and
+        // never alias another prefix's bit.
+        let build = |strategy| {
+            let mut eng: Engine<usize> = Engine::with_config(EngineConfig {
+                strategy,
+                selection: SelectionPolicy::FireAll,
+                ..Default::default()
+            });
+            for i in 0..33 {
+                eng.add_rule(Rule::customization(
+                    format!("w{i}"),
+                    EventPattern::Interface {
+                        name: Some("click".into()),
+                        source_prefix: Some(format!("w{i}/")),
+                    },
+                    ContextPattern::any(),
+                    i,
+                ))
+                .unwrap();
+            }
+            eng
+        };
+        let mut compiled = build(DispatchStrategy::Compiled);
+        let mut linear = build(DispatchStrategy::Linear);
+        for (source, want) in [("w32/panel", "w32"), ("w0/panel", "w0")] {
+            // Repeats would be cache hits on a cacheable artifact.
+            for _ in 0..3 {
+                let event = Event::interface("click", source);
+                let a = compiled.dispatch(event.clone(), &session()).unwrap();
+                let b = linear.dispatch(event, &session()).unwrap();
+                assert_eq!(a.fired_names(), vec![want], "on {source}");
+                assert_eq!(a.fired_names(), b.fired_names());
+                assert_eq!(a.trace.entries, b.trace.entries);
+            }
+        }
+        // The packed key no longer separates every event, so the
+        // degraded artifact runs uncached.
+        assert!(!compiled.compiled_stats().unwrap().packed_cache);
+        let stats = compiled.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+    }
 }
 
 #[cfg(test)]
 mod concurrency_tests {
     use super::*;
     use crate::context::ContextPattern;
-    use geodb::query::DbEvent;
+    use crate::event::EventPattern;
+    use geodb::query::{DbEvent, DbEventKind};
 
     fn get_schema() -> Event {
         Event::Db(DbEvent::GetSchema {
@@ -3413,8 +3009,9 @@ mod concurrency_tests {
 mod coupling_tests {
     use super::*;
     use crate::context::ContextPattern;
+    use crate::event::EventPattern;
     use crate::rule::Coupling;
-    use geodb::query::DbEvent;
+    use geodb::query::{DbEvent, DbEventKind};
 
     fn insert_event(n: u64) -> Event {
         Event::Db(DbEvent::Insert {

@@ -8,8 +8,8 @@
 
 use active::engine::CASCADE_PSEUDO_RULE;
 use active::{
-    Action, ActiveError, ContextPattern, Coupling, DispatchStrategy, Engine, EngineConfig, Event,
-    EventPattern, FaultPolicy, Rule, RuleGroup, SessionContext,
+    Action, ActiveError, ContextPattern, Coupling, Engine, EngineConfig, Event, EventPattern,
+    FaultPolicy, Rule, RuleGroup, SessionContext,
 };
 use geodb::query::{DbEvent, DbEventKind};
 use std::sync::Arc;
@@ -135,11 +135,7 @@ fn fail_closed_aborts_and_rolls_back_deferred_queue() {
 #[test]
 fn quarantine_trips_after_threshold_and_can_be_cleared() {
     let _g = serialized();
-    let cfg = EngineConfig {
-        strategy: DispatchStrategy::Indexed,
-        ..Default::default()
-    };
-    let mut eng: Engine<&str> = Engine::with_config(cfg);
+    let mut eng: Engine<&str> = Engine::new();
     eng.add_rule(cust_rule("c", "payload")).unwrap();
     let calls = Arc::new(std::sync::atomic::AtomicU32::new(0));
     let seen = calls.clone();
@@ -273,11 +269,7 @@ fn deferred_fault_is_contained_at_flush() {
 fn cascade_overflow_leaves_consistent_state() {
     let _g = serialized();
     let build = || {
-        let cfg = EngineConfig {
-            strategy: DispatchStrategy::Indexed,
-            ..Default::default()
-        };
-        let mut eng: Engine<&str> = Engine::with_config(cfg);
+        let mut eng: Engine<&str> = Engine::new();
         eng.add_rule(Rule {
             name: "loop".into(),
             event: EventPattern::External {

@@ -36,7 +36,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use active::{ActiveError, DispatchStrategy, Outcome, RuleBase, SessionContext};
+use active::{ActiveError, Outcome, RuleBase, SessionContext};
 use custlang::Customization;
 use geodb::query::{DbEvent, DbEventKind};
 use geodb::repl::{ReadRouter, ReplicaStatus, ReplicaStore};
@@ -174,15 +174,7 @@ impl SessionServer {
         let mut handles = Vec::with_capacity(workers_n);
         for shard in 0..workers_n {
             let queue = Arc::new(ShardQueue::default());
-            // Shards serve from the compiled dispatch tier: the flat
-            // tables are built once per rule-base generation (shared by
-            // every shard) and kill the interpreted cold path that
-            // dominates once winner-cache hit rates drop. An explicitly
-            // Linear base (the differential oracle) is honored as-is.
-            let mut session = rule_base.session();
-            if session.strategy() != DispatchStrategy::Linear {
-                session.set_strategy(DispatchStrategy::Compiled);
-            }
+            let session = rule_base.session();
             let router = routing.router(&store, shard_replica(&replicas, shard));
             let mut dispatcher = Dispatcher::with_router(
                 store.clone(),

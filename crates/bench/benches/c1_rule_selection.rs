@@ -5,16 +5,17 @@
 //! event, the most specific. This bench measures dispatch latency as the
 //! rule population grows (10 → 10 000 rules across a user/category/
 //! application lattice), compares the paper's `MostSpecific` policy
-//! against the `FireAll` ablation, and — since PR 2 — pits the indexed
-//! dispatch path (discrimination index + winner cache) against the
-//! `Linear` full-scan oracle it replaced.
+//! against the `FireAll` ablation, and pits the compiled dispatch tier
+//! (flat jump tables + winner cache, the default strategy) against the
+//! `Linear` full-scan oracle.
 //!
 //! Expected shape: linear dispatch is O(rules) (every rule's pattern must
-//! be tested); the discrimination index is O(candidates in the event's
-//! bucket); the winner cache answers repeat dispatches in O(1). The
-//! machine-readable comparison lands in `BENCH_dispatch.json` (under
-//! `target/bench/`, or at the repo root with `BENCH_RECORD=1`). Set
-//! `BENCH_QUICK=1` to run a reduced smoke version (CI).
+//! be tested); a cold compiled walk is O(candidates in the event's jump
+//! table), and stops at the first match under `MostSpecific`; the winner
+//! cache answers repeat dispatches in O(1). The machine-readable
+//! comparison lands in `BENCH_dispatch.json` (under `target/bench/`, or
+//! at the repo root with `BENCH_RECORD=1`). Set `BENCH_QUICK=1` to run a
+//! reduced smoke version (CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -69,8 +70,7 @@ fn uniform_engine(n: usize, config: EngineConfig) -> Engine<usize> {
 
 /// Like [`engine_with_rules`], but the event patterns rotate over five
 /// event families (three db kinds, interface gestures, external events),
-/// so only ~1/5 of the rules share the dispatched event's bucket — the
-/// shape the discrimination index is built for.
+/// so only ~1/5 of the rules share the dispatched event's jump table.
 fn mixed_engine(n: usize, strategy: DispatchStrategy) -> Engine<usize> {
     let mut engine = Engine::with_config(EngineConfig {
         selection: SelectionPolicy::MostSpecific,
@@ -135,22 +135,20 @@ fn measure_ns<F: FnMut()>(mut f: F, quick: bool) -> f64 {
 
 /// Dispatch-strategy comparison rows, written to `BENCH_dispatch.json`.
 ///
-/// Five variants per rule-set size, all repeat-dispatching the same
+/// Three variants per rule-set size, all repeat-dispatching the same
 /// `Get_Class` event under the same session:
 /// - `linear`: the full-scan oracle (`DispatchStrategy::Linear`);
-/// - `indexed`: the discrimination index with the winner cache forced
-///   off (a guard-bearing rule makes the set uncacheable), i.e. the
-///   index-walk cost alone;
-/// - `indexed_hot`: index + winner cache, where every dispatch after the
-///   first is a cache hit — the steady state of an interactive session
-///   replaying the same gesture;
 /// - `compiled`: the compiled tier (jump tables + interned contexts)
-///   with the cache forced off the same way — the table-walk cost alone;
-/// - `compiled_hot`: compiled tier + packed winner cache (u64 keys).
+///   with the winner cache forced off (a guard-bearing rule makes the
+///   set uncacheable) — the cold table-walk cost alone;
+/// - `compiled_hot`: compiled tier + winner cache, where every dispatch
+///   after the first is a cache hit — the steady state of an
+///   interactive session replaying the same gesture.
 ///
-/// With `DISPATCH_GATE=1`, a row of ≥ 1000 rules where the cold compiled
-/// walk is slower than the cold index walk fails the run — the CI
-/// regression gate for the compiled tier.
+/// With `DISPATCH_GATE=1` the run fails when
+/// [`bench::compiled_tier_gate`] rejects the rows: a scenario whose cold
+/// compiled walk is not at least twice as fast as the cold linear scan
+/// at ≥ 1000 rules.
 fn dispatch_strategy_comparison(quick: bool) -> serde_json::Value {
     let mut rows = Vec::new();
     rows.extend(scenario_rows(
@@ -159,6 +157,7 @@ fn dispatch_strategy_comparison(quick: bool) -> serde_json::Value {
         quick,
     ));
     rows.extend(scenario_rows("mixed_kinds", &mixed_engine, quick));
+    enforce_gate(bench::compiled_tier_gate(&rows), "c1 strategy");
 
     serde_json::Value::Object(vec![
         (
@@ -178,10 +177,23 @@ fn dispatch_strategy_comparison(quick: bool) -> serde_json::Value {
     ])
 }
 
+/// Report a gate verdict: with `DISPATCH_GATE=1` a failure fails the
+/// run, otherwise it is only printed.
+fn enforce_gate(verdict: Result<(), String>, label: &str) {
+    if let Err(msg) = verdict {
+        let msg = format!("[{label}] DISPATCH GATE: {msg}");
+        if std::env::var("DISPATCH_GATE").is_ok() {
+            panic!("{msg}");
+        }
+        eprintln!("{msg} (set DISPATCH_GATE=1 to fail)");
+    }
+}
+
 /// One scenario's worth of comparison rows. `uniform` puts every rule in
-/// the dispatched event's bucket (the index cannot prune; the cache does
-/// all the work); `mixed_kinds` spreads rules over five event families
-/// (the index prunes ~80% of candidates before pattern matching).
+/// the dispatched event's jump table (the tables cannot prune; the
+/// specificity order and the cache do all the work); `mixed_kinds`
+/// spreads rules over five event families (the tables prune ~80% of
+/// candidates before any pattern is tested).
 fn scenario_rows(
     scenario: &str,
     build: &dyn Fn(usize, DispatchStrategy) -> Engine<usize>,
@@ -189,13 +201,12 @@ fn scenario_rows(
 ) -> Vec<serde_json::Value> {
     let session = SessionContext::new("user5", "cat5", "pole_manager");
     // Quick mode keeps the 1000-rule size: it is the population the
-    // compiled-vs-indexed CI gate is defined on.
+    // compiled-vs-linear CI gate is defined on.
     let sizes: &[usize] = if quick {
         &[10, 100, 1000]
     } else {
         &[10, 100, 1000, 10_000]
     };
-    let gate = std::env::var("DISPATCH_GATE").is_ok();
 
     // A guarded rule (never matching: external pattern) disables the
     // winner cache for the whole set, isolating the cold walk.
@@ -214,11 +225,8 @@ fn scenario_rows(
     let mut rows = Vec::new();
     for &n in sizes {
         let mut linear = build(n, DispatchStrategy::Linear);
-        let mut indexed = build(n, DispatchStrategy::Indexed);
-        let mut hot = build(n, DispatchStrategy::Indexed);
         let mut compiled = build(n, DispatchStrategy::Compiled);
         let mut compiled_hot = build(n, DispatchStrategy::Compiled);
-        indexed.add_rule(cache_off_sentinel()).unwrap();
         compiled.add_rule(cache_off_sentinel()).unwrap();
 
         // Compile off the timed path, and capture the one-off cost.
@@ -227,30 +235,14 @@ fn scenario_rows(
 
         // The strategies must agree before we time them.
         let a = linear.dispatch(event(), &session).unwrap();
-        let b = indexed.dispatch(event(), &session).unwrap();
-        let c = hot.dispatch(event(), &session).unwrap();
         let d = compiled.dispatch(event(), &session).unwrap();
         let e = compiled_hot.dispatch(event(), &session).unwrap();
-        assert_eq!(a.customization(), b.customization());
-        assert_eq!(a.customization(), c.customization());
         assert_eq!(a.customization(), d.customization());
         assert_eq!(a.customization(), e.customization());
 
         let linear_ns = measure_ns(
             || {
                 black_box(linear.dispatch(event(), &session).unwrap());
-            },
-            quick,
-        );
-        let indexed_ns = measure_ns(
-            || {
-                black_box(indexed.dispatch(event(), &session).unwrap());
-            },
-            quick,
-        );
-        let hot_ns = measure_ns(
-            || {
-                black_box(hot.dispatch(event(), &session).unwrap());
             },
             quick,
         );
@@ -266,47 +258,20 @@ fn scenario_rows(
             },
             quick,
         );
-        let stats = hot.cache_stats();
-        assert!(
-            stats.hits > stats.misses,
-            "hot variant was not cache-hot: {stats:?}"
-        );
         let pstats = compiled_hot.cache_stats();
         assert!(
             pstats.hits > pstats.misses,
             "compiled_hot variant was not cache-hot: {pstats:?}"
         );
 
-        // Which matching arm the hybrid picks for this population size
-        // (sentinel included): at or below the threshold the index and
-        // the compiled tables are skipped and the cold path IS the
-        // linear scan.
-        let threshold = EngineConfig::default().hybrid_linear_threshold;
-        let arm = if n < threshold { "scan" } else { "index" };
-        let compiled_arm = if n < threshold { "scan" } else { "compiled" };
         eprintln!(
-            "[c1 strategy/{scenario}] {n:>6} rules: linear {linear_ns:>12.1} ns, cold indexed \
-             ({arm}) {indexed_ns:>12.1} ns ({:>6.2}x), cold compiled ({compiled_arm}) \
-             {compiled_ns:>10.1} ns ({:>6.2}x, {:>6.2}x vs index, compile {:>8.1} µs), \
-             cache-hot {hot_ns:>10.1} ns ({:>6.1}x), packed-hot {compiled_hot_ns:>10.1} ns \
-             ({:>6.1}x)",
-            linear_ns / indexed_ns,
+            "[c1 strategy/{scenario}] {n:>6} rules: linear {linear_ns:>12.1} ns, cold compiled \
+             {compiled_ns:>10.1} ns ({:>6.2}x, compile {:>8.1} µs), cache-hot \
+             {compiled_hot_ns:>10.1} ns ({:>6.1}x)",
             linear_ns / compiled_ns,
-            indexed_ns / compiled_ns,
             compile_ns as f64 / 1e3,
-            linear_ns / hot_ns,
             linear_ns / compiled_hot_ns,
         );
-        if n >= 1000 && compiled_ns > indexed_ns {
-            let msg = format!(
-                "[c1 strategy/{scenario}] DISPATCH GATE: cold compiled ({compiled_ns:.1} ns) is \
-                 slower than cold indexed ({indexed_ns:.1} ns) at {n} rules"
-            );
-            if gate {
-                panic!("{msg}");
-            }
-            eprintln!("{msg} (set DISPATCH_GATE=1 to fail)");
-        }
 
         rows.push(serde_json::Value::Object(vec![
             (
@@ -314,14 +279,7 @@ fn scenario_rows(
                 serde_json::Value::String(scenario.into()),
             ),
             ("rules".into(), serde_json::Value::U64(n as u64)),
-            ("arm".into(), serde_json::Value::String(arm.into())),
-            (
-                "compiled_arm".into(),
-                serde_json::Value::String(compiled_arm.into()),
-            ),
             ("linear_ns".into(), serde_json::Value::F64(linear_ns)),
-            ("indexed_ns".into(), serde_json::Value::F64(indexed_ns)),
-            ("indexed_hot_ns".into(), serde_json::Value::F64(hot_ns)),
             ("compiled_ns".into(), serde_json::Value::F64(compiled_ns)),
             (
                 "compiled_hot_ns".into(),
@@ -329,20 +287,8 @@ fn scenario_rows(
             ),
             ("compile_ns".into(), serde_json::Value::U64(compile_ns)),
             (
-                "speedup_indexed".into(),
-                serde_json::Value::F64(linear_ns / indexed_ns),
-            ),
-            (
-                "speedup_hot".into(),
-                serde_json::Value::F64(linear_ns / hot_ns),
-            ),
-            (
                 "speedup_compiled".into(),
                 serde_json::Value::F64(linear_ns / compiled_ns),
-            ),
-            (
-                "speedup_compiled_vs_indexed".into(),
-                serde_json::Value::F64(indexed_ns / compiled_ns),
             ),
         ]));
     }
@@ -355,19 +301,19 @@ fn scenario_rows(
 /// instead of once per event. Each batch size is measured with rule
 /// tracing off and on — on is what `RuleBase::new()` and `SessionServer`
 /// ship. Each lane's figure is the median of [`LANE_ROUNDS`] alternating
-/// rounds. With `DISPATCH_GATE=1`, a batch of ≥ 16 events dispatching
-/// slower per event than the per-event loop fails the run, traced or
-/// not.
+/// rounds. With `DISPATCH_GATE=1` the run fails when
+/// [`bench::batch_lane_gate`] rejects the rows: a batch of ≥ 16 events
+/// dispatching slower per event than the per-event loop, traced or not.
 fn batch_section(quick: bool) -> serde_json::Value {
     let session = SessionContext::new("user5", "cat5", "pole_manager");
     let n = 1000;
     let batch_sizes: &[usize] = if quick { &[16, 64] } else { &[16, 64, 256] };
-    let gate = std::env::var("DISPATCH_GATE").is_ok();
 
     let mut rows = Vec::new();
     for tracing in [false, true] {
-        rows.extend(batch_rows(&session, n, batch_sizes, tracing, gate, quick));
+        rows.extend(batch_rows(&session, n, batch_sizes, tracing, quick));
     }
+    enforce_gate(bench::batch_lane_gate(&rows), "c1 batch");
     serde_json::Value::Object(vec![
         (
             "workload".into(),
@@ -391,12 +337,10 @@ fn batch_rows(
     n: usize,
     batch_sizes: &[usize],
     tracing: bool,
-    gate: bool,
     quick: bool,
 ) -> Vec<serde_json::Value> {
     let config = EngineConfig {
         selection: SelectionPolicy::MostSpecific,
-        strategy: DispatchStrategy::Compiled,
         tracing,
         ..Default::default()
     };
@@ -450,17 +394,6 @@ fn batch_rows(
             "[c1 batch] {n} rules, batch {len:>4}, tracing {tracing:>5}: per-event \
              {per_event_ns:>8.1} ns/ev, batch lane {batch_ns:>8.1} ns/ev ({speedup:>5.2}x)"
         );
-        if batch_ns > per_event_ns {
-            let msg = format!(
-                "[c1 batch] DISPATCH GATE: batch lane ({batch_ns:.1} ns/ev) is slower \
-                 than the per-event loop ({per_event_ns:.1} ns/ev) at batch {len}, \
-                 tracing {tracing}"
-            );
-            if gate {
-                panic!("{msg}");
-            }
-            eprintln!("{msg} (set DISPATCH_GATE=1 to fail)");
-        }
         rows.push(serde_json::Value::Object(vec![
             ("rules".into(), serde_json::Value::U64(n as u64)),
             ("batch_len".into(), serde_json::Value::U64(len as u64)),
@@ -616,8 +549,11 @@ fn bench_rule_selection(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("c1_most_specific");
     for &n in sizes {
-        let mut engine =
-            engine_with_rules(n, SelectionPolicy::MostSpecific, DispatchStrategy::Indexed);
+        let mut engine = engine_with_rules(
+            n,
+            SelectionPolicy::MostSpecific,
+            DispatchStrategy::default(),
+        );
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(engine.dispatch(event(), &session).unwrap()));
@@ -638,7 +574,8 @@ fn bench_rule_selection(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("c1_fire_all_ablation");
     for &n in sizes {
-        let mut engine = engine_with_rules(n, SelectionPolicy::FireAll, DispatchStrategy::Indexed);
+        let mut engine =
+            engine_with_rules(n, SelectionPolicy::FireAll, DispatchStrategy::default());
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(engine.dispatch(event(), &session).unwrap()));
@@ -650,9 +587,9 @@ fn bench_rule_selection(c: &mut Criterion) {
     let mut most = engine_with_rules(
         1000,
         SelectionPolicy::MostSpecific,
-        DispatchStrategy::Indexed,
+        DispatchStrategy::default(),
     );
-    let mut all = engine_with_rules(1000, SelectionPolicy::FireAll, DispatchStrategy::Indexed);
+    let mut all = engine_with_rules(1000, SelectionPolicy::FireAll, DispatchStrategy::default());
     let n_most = most
         .dispatch(event(), &session)
         .unwrap()
@@ -675,15 +612,15 @@ fn bench_rule_selection(c: &mut Criterion) {
     let mut engine = engine_with_rules(
         1000,
         SelectionPolicy::MostSpecific,
-        DispatchStrategy::Indexed,
+        DispatchStrategy::default(),
     );
     group.bench_function("1000_rules_no_context_match", |b| {
         b.iter(|| black_box(engine.dispatch(event(), &other).unwrap()));
     });
     group.finish();
 
-    // Machine-readable strategy comparison: indexed vs the linear oracle,
-    // plus the batch-lane and hot-reload sections.
+    // Machine-readable strategy comparison: compiled vs the linear
+    // oracle, plus the batch-lane and hot-reload sections.
     let mut summary = dispatch_strategy_comparison(quick);
     if let serde_json::Value::Object(fields) = &mut summary {
         fields.push(("batch".into(), batch_section(quick)));

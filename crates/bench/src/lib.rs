@@ -62,9 +62,167 @@ pub fn synthetic_program(n: usize) -> String {
     out
 }
 
+/// Smallest rule population the compiled-tier gate judges: below it a
+/// straight scan is cheap enough that no tier has much to win.
+const GATE_MIN_RULES: u64 = 1000;
+
+/// The cold compiled walk must beat the cold linear scan by at least
+/// this factor at `GATE_MIN_RULES` and above.
+const GATE_MIN_COMPILED_SPEEDUP: f64 = 2.0;
+
+/// Smallest batch the batch-lane gate judges.
+const GATE_MIN_BATCH: u64 = 16;
+
+fn num(row: &serde_json::Value, field: &str) -> Result<f64, String> {
+    row[field]
+        .as_f64()
+        .ok_or_else(|| format!("row without a numeric `{field}`: {row:?}"))
+}
+
+/// The compiled-tier criterion of `DISPATCH_GATE`, over the strategy
+/// rows of `BENCH_dispatch.json` (`scenario`, `rules`, `linear_ns`,
+/// `compiled_ns`). Every scenario must have a row at 1,000 rules or
+/// more, and in each such row the cold compiled walk must be at least
+/// 2× faster than the cold linear scan of the same run. No rows, or no
+/// row large enough, fails: a gate that judged nothing must not pass.
+pub fn compiled_tier_gate(rows: &[serde_json::Value]) -> Result<(), String> {
+    let mut scenarios: Vec<(&str, usize)> = Vec::new();
+    for row in rows {
+        let scenario = row["scenario"]
+            .as_str()
+            .ok_or_else(|| format!("row without a `scenario`: {row:?}"))?;
+        let at = match scenarios.iter().position(|(s, _)| *s == scenario) {
+            Some(at) => at,
+            None => {
+                scenarios.push((scenario, 0));
+                scenarios.len() - 1
+            }
+        };
+        let rules = num(row, "rules")? as u64;
+        if rules < GATE_MIN_RULES {
+            continue;
+        }
+        scenarios[at].1 += 1;
+        let (linear, compiled) = (num(row, "linear_ns")?, num(row, "compiled_ns")?);
+        if linear < GATE_MIN_COMPILED_SPEEDUP * compiled {
+            return Err(format!(
+                "cold compiled ({compiled:.1} ns) is only {:.2}x faster than cold linear \
+                 ({linear:.1} ns) at {rules} rules in `{scenario}` (floor \
+                 {GATE_MIN_COMPILED_SPEEDUP}x)",
+                linear / compiled
+            ));
+        }
+    }
+    if scenarios.is_empty() {
+        return Err("no strategy rows to judge".into());
+    }
+    match scenarios.iter().find(|(_, judged)| *judged == 0) {
+        Some((scenario, _)) => Err(format!(
+            "`{scenario}` has no row at >= {GATE_MIN_RULES} rules to judge"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The batch-lane criterion of `DISPATCH_GATE`, over the `batch` rows
+/// of `BENCH_dispatch.json` (`batch_len`, `tracing`,
+/// `per_event_ns_per_event`, `batch_ns_per_event`): at 16 events or
+/// more, the batch lane must not dispatch slower per event than the
+/// per-event loop, traced or not. No row at that size fails.
+pub fn batch_lane_gate(rows: &[serde_json::Value]) -> Result<(), String> {
+    let mut judged = 0;
+    for row in rows {
+        let len = num(row, "batch_len")? as u64;
+        if len < GATE_MIN_BATCH {
+            continue;
+        }
+        judged += 1;
+        let per_event = num(row, "per_event_ns_per_event")?;
+        let batch = num(row, "batch_ns_per_event")?;
+        if batch > per_event {
+            return Err(format!(
+                "batch lane ({batch:.1} ns/ev) is slower than the per-event loop \
+                 ({per_event:.1} ns/ev) at batch {len}, tracing {}",
+                row["tracing"].as_bool().unwrap_or(false)
+            ));
+        }
+    }
+    if judged == 0 {
+        return Err(format!(
+            "no batch row at >= {GATE_MIN_BATCH} events to judge"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
+    fn strategy_row(scenario: &str, rules: u64, linear_ns: f64, compiled_ns: f64) -> Value {
+        Value::Object(vec![
+            ("scenario".into(), Value::String(scenario.into())),
+            ("rules".into(), Value::U64(rules)),
+            ("linear_ns".into(), Value::F64(linear_ns)),
+            ("compiled_ns".into(), Value::F64(compiled_ns)),
+        ])
+    }
+
+    fn batch_row(len: u64, per_event: f64, batch: f64) -> Value {
+        Value::Object(vec![
+            ("batch_len".into(), Value::U64(len)),
+            ("tracing".into(), Value::Bool(false)),
+            ("per_event_ns_per_event".into(), Value::F64(per_event)),
+            ("batch_ns_per_event".into(), Value::F64(batch)),
+        ])
+    }
+
+    #[test]
+    fn compiled_tier_gate_judges_every_scenario() {
+        let good = vec![
+            strategy_row("uniform", 100, 3000.0, 2900.0),
+            strategy_row("uniform", 1000, 16000.0, 4000.0),
+            strategy_row("mixed_kinds", 1000, 9000.0, 1500.0),
+        ];
+        assert_eq!(compiled_tier_gate(&good), Ok(()));
+
+        // A regressed row: 1.5x faster than linear is under the floor.
+        let mut regressed = good.clone();
+        regressed.push(strategy_row("mixed_kinds", 10_000, 15000.0, 10000.0));
+        let err = compiled_tier_gate(&regressed).unwrap_err();
+        assert!(err.contains("mixed_kinds"), "{err}");
+
+        // Nothing to judge fails: no rows at all, or a scenario with
+        // only small populations.
+        assert!(compiled_tier_gate(&[]).is_err());
+        let mut unjudged = good.clone();
+        unjudged.push(strategy_row("other", 10, 2000.0, 2100.0));
+        let err = compiled_tier_gate(&unjudged).unwrap_err();
+        assert!(err.contains("other"), "{err}");
+    }
+
+    #[test]
+    fn batch_lane_gate_rejects_a_slower_lane() {
+        let good = vec![batch_row(16, 1200.0, 280.0), batch_row(64, 1200.0, 240.0)];
+        assert_eq!(batch_lane_gate(&good), Ok(()));
+        let mut regressed = good.clone();
+        regressed.push(batch_row(256, 1200.0, 1300.0));
+        assert!(batch_lane_gate(&regressed).is_err());
+        assert!(batch_lane_gate(&[]).is_err());
+        assert!(batch_lane_gate(&[batch_row(8, 1200.0, 280.0)]).is_err());
+    }
+
+    #[test]
+    fn committed_dispatch_rows_pass_both_gates() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dispatch.json");
+        let text = std::fs::read_to_string(&path).expect("BENCH_dispatch.json is committed");
+        let doc: Value = serde_json::from_str(&text).expect("BENCH_dispatch.json parses");
+        let strategy = doc["rows"].as_array().expect("strategy rows");
+        let batch = doc["batch"]["rows"].as_array().expect("batch rows");
+        assert_eq!(compiled_tier_gate(strategy), Ok(()));
+        assert_eq!(batch_lane_gate(batch), Ok(()));
+    }
 
     #[test]
     fn fixtures_build() {

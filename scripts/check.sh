@@ -9,7 +9,7 @@
 #   scripts/check.sh           full gate (what CI runs)
 #   scripts/check.sh --quick   inner-loop mode: tests + the gated bench
 #                              smokes, skipping clippy/fmt and the
-#                              seeded release crash sweep
+#                              release stress and seeded sweeps
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,9 +45,11 @@ if [[ "$QUICK" == 0 ]]; then
 fi
 
 echo "==> Dispatch smoke (c1_rule_selection, quick, compiled-tier + batch-lane gates)"
-# Fails if the cold compiled walk is slower than the cold index walk at
-# >= 1000 rules, or the batch lane is slower per event than the
-# per-event loop at batch >= 16 (rule tracing off or on); writes
+# Fails if, in either scenario, the cold compiled walk is less than 2x
+# faster than the cold linear scan of the same run at >= 1000 rules, or
+# the batch lane is slower per event than the per-event loop at batch
+# >= 16 (rule tracing off or on); the criteria are
+# bench::compiled_tier_gate and bench::batch_lane_gate. Writes
 # target/bench/BENCH_dispatch.json (quick rows, incl. the batch and
 # hot_reload sections).
 BENCH_QUICK=1 DISPATCH_GATE=1 cargo bench -p bench --bench c1_rule_selection
@@ -68,6 +70,22 @@ echo "==> Replication smoke (c7_replication, quick, delta-size + promotion gates
 BENCH_QUICK=1 REPLICATION_GATE=1 cargo bench -p bench --bench c7_replication
 
 if [[ "$QUICK" == 0 ]]; then
+  echo "==> Threaded stress (differential under concurrent mutation, release)"
+  cargo test -q --release -p activegis --test dispatch_differential threaded
+
+  echo "==> Fault injection (seeded sweeps, release)"
+  # Seeded failpoint storms, single- and multi-threaded. CI sweeps the
+  # same seeds.
+  for seed in 7 1994 271828; do
+    FAULT_SEED=$seed cargo test -q --release -p activegis --test fault_injection seeded_fault_sweep
+    FAULT_SEED=$seed cargo test -q --release -p activegis --test fault_injection threaded_fault
+  done
+
+  echo "==> Snapshot isolation (writer storm vs pinned readers, release)"
+  for seed in 7 1994 271828; do
+    ISOLATION_SEED=$seed cargo test -q --release -p activegis --test snapshot_isolation
+  done
+
   echo "==> Crash recovery (seeded chains, release)"
   # The durable write path: WAL replay, torn tails, kill points between
   # append/fsync/publish. CI sweeps the same seeds.

@@ -1,12 +1,11 @@
-//! Differential testing: the indexed dispatch path (discrimination index
-//! plus winner cache) and the compiled dispatch tier (flat per-epoch
-//! jump tables) must produce exactly the same `Outcome` as the linear
-//! scan they replaced, for random rule sets, session contexts and event
-//! sequences — including after interleaved add/remove/enable mutations,
-//! which must invalidate the winner cache and recompile the tables. The
-//! compiled arm runs twice: traces on (full walk, traces compared
-//! entry-for-entry) and traces off (the early-exit winner walk, outcomes
-//! compared).
+//! Differential testing: the compiled dispatch tier (flat per-epoch jump
+//! tables plus winner cache) must produce exactly the same `Outcome` as
+//! the linear scan it replaced, for random rule sets, session contexts
+//! and event sequences — including after interleaved add/remove/enable
+//! mutations, which must invalidate the winner cache and recompile the
+//! tables. The compiled arm runs twice: traces on (full walk, traces
+//! compared entry-for-entry) and traces off (the early-exit winner walk,
+//! outcomes compared).
 
 use std::sync::Arc;
 
@@ -196,7 +195,6 @@ fn make_rule(name: &str, spec: &RuleSpec, payload: usize) -> Rule<usize> {
 }
 
 struct Harness {
-    indexed: Engine<usize>,
     linear: Engine<usize>,
     /// Compiled tier, traces on: full table walks, compared
     /// entry-for-entry against the oracle's traces.
@@ -210,24 +208,13 @@ struct Harness {
 
 impl Harness {
     fn new() -> Harness {
-        let cfg = |strategy| EngineConfig {
-            strategy,
-            ..Default::default()
-        };
         Harness {
-            indexed: Engine::with_config(cfg(DispatchStrategy::Indexed)),
-            linear: Engine::with_config(cfg(DispatchStrategy::Linear)),
-            // Threshold 0 forces the compiled tables even for the small
-            // populations the generator produces (the hybrid arm would
-            // otherwise scan and never touch them).
-            compiled: Engine::with_config(EngineConfig {
-                strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
+            linear: Engine::with_config(EngineConfig {
+                strategy: DispatchStrategy::Linear,
                 ..Default::default()
             }),
+            compiled: Engine::new(),
             compiled_fast: Engine::with_config(EngineConfig {
-                strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 ..Default::default()
             }),
@@ -236,9 +223,8 @@ impl Harness {
         }
     }
 
-    fn engines(&mut self) -> [&mut Engine<usize>; 4] {
+    fn engines(&mut self) -> [&mut Engine<usize>; 3] {
         [
-            &mut self.indexed,
             &mut self.linear,
             &mut self.compiled,
             &mut self.compiled_fast,
@@ -255,7 +241,6 @@ impl Harness {
             .collect();
         prop_assert_eq!(&results[0], &results[1]);
         prop_assert_eq!(&results[0], &results[2]);
-        prop_assert_eq!(&results[0], &results[3]);
         if results[0].is_ok() {
             self.names.push(name);
         }
@@ -266,7 +251,6 @@ impl Harness {
     fn dispatch(&mut self, event: &Event, ctx: &SessionContext) -> Result<(), TestCaseError> {
         let oracle = self.linear.dispatch(event.clone(), ctx);
         for (label, result) in [
-            ("indexed", self.indexed.dispatch(event.clone(), ctx)),
             ("compiled", self.compiled.dispatch(event.clone(), ctx)),
             (
                 "compiled_fast",
@@ -284,7 +268,7 @@ impl Harness {
                     );
                     prop_assert_eq!(a.fired_names(), b.fired_names(), "{} on {:?}", label, event);
                     prop_assert_eq!(a.events_processed, b.events_processed);
-                    // The fast arm runs traces off; everyone else must
+                    // The fast arm runs traces off; the traced arm must
                     // reproduce the oracle's trace exactly.
                     if label != "compiled_fast" {
                         prop_assert_eq!(
@@ -310,8 +294,7 @@ impl Harness {
     fn apply(&mut self, op: &Op, sessions: &[SessionContext]) -> Result<(), TestCaseError> {
         match op {
             Op::Dispatch(event, c) => {
-                // Twice: the repeat exercises the winner-cache hit path
-                // (string-keyed on the indexed arm, packed on compiled).
+                // Twice: the repeat exercises the winner-cache hit path.
                 self.dispatch(event, &sessions[*c])?;
                 self.dispatch(event, &sessions[*c])?;
             }
@@ -324,7 +307,6 @@ impl Harness {
                 let results = self.engines().map(|e| e.remove_rule(&name).is_ok());
                 prop_assert_eq!(results[0], results[1]);
                 prop_assert_eq!(results[0], results[2]);
-                prop_assert_eq!(results[0], results[3]);
                 if results[0] {
                     self.names.retain(|n| n != &name);
                 }
@@ -342,13 +324,11 @@ impl Harness {
                     .collect();
                 prop_assert_eq!(&results[0], &results[1]);
                 prop_assert_eq!(&results[0], &results[2]);
-                prop_assert_eq!(&results[0], &results[3]);
             }
             Op::RemovePrefix => {
                 let results = self.engines().map(|e| e.remove_rules_with_prefix("fa/"));
                 prop_assert_eq!(results[0], results[1]);
                 prop_assert_eq!(results[0], results[2]);
-                prop_assert_eq!(results[0], results[3]);
                 self.names.retain(|n| !n.starts_with("fa/"));
             }
         }
@@ -360,7 +340,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn indexed_dispatch_matches_the_linear_oracle(
+    fn compiled_dispatch_matches_the_linear_oracle(
         initial in prop::collection::vec(arb_rule_spec(), 0..12),
         ops in prop::collection::vec(arb_op(), 1..40),
         finale in prop::collection::vec(arb_event(), 1..6),
@@ -381,14 +361,56 @@ proptest! {
             }
         }
         // The engines' rule books stayed in lockstep.
-        prop_assert_eq!(h.indexed.len(), h.linear.len());
         prop_assert_eq!(h.compiled.len(), h.linear.len());
         prop_assert_eq!(h.compiled_fast.len(), h.linear.len());
         for name in &h.names {
-            prop_assert_eq!(h.indexed.rule(name).is_some(), h.linear.rule(name).is_some());
             prop_assert_eq!(h.compiled.rule(name).is_some(), h.linear.rule(name).is_some());
+            prop_assert_eq!(
+                h.compiled_fast.rule(name).is_some(),
+                h.linear.rule(name).is_some()
+            );
         }
     }
+}
+
+/// Every way the system opens an engine — a bare `Engine`, a rule-base
+/// session, a `Dispatcher`'s engine, a `SessionServer` shard — lands on
+/// the compiled tier. Only the default puts it there.
+#[test]
+fn every_default_engine_is_the_compiled_tier() {
+    let ctx = SessionContext::new("juliano", "planner", "pole_manager");
+    let get_schema = || DbEvent::GetSchema {
+        schema: "phone_net".into(),
+    };
+
+    let mut engine: Engine<usize> = Engine::new();
+    let mut session = active::RuleBase::<usize>::new().session();
+    for eng in [&mut engine, &mut session] {
+        assert_eq!(eng.strategy(), DispatchStrategy::Compiled);
+        eng.dispatch(Event::Db(get_schema()), &ctx).unwrap();
+        assert!(eng.compiled_stats().is_some());
+    }
+
+    let db = || {
+        activegis::phone_net_db(&activegis::TelecomConfig::small())
+            .unwrap()
+            .0
+    };
+    let mut d = gisui::Dispatcher::new(db(), builder::InterfaceBuilder::with_paper_library());
+    assert_eq!(d.engine().strategy(), DispatchStrategy::Compiled);
+    d.engine().dispatch(Event::Db(get_schema()), &ctx).unwrap();
+    assert!(d.engine().compiled_stats().is_some());
+
+    let server = activegis::SessionServer::start(
+        1,
+        active::RuleBase::new(),
+        geodb::store::DbStore::new(db()),
+    );
+    let s = server.open_session(ctx);
+    let strategy = server.with_dispatcher(s, |d| d.engine().strategy());
+    assert_eq!(strategy, DispatchStrategy::Compiled);
+    server.dispatch(s, get_schema()).unwrap();
+    assert!(server.with_dispatcher(s, |d| d.engine().compiled_stats().is_some()));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,8 +460,6 @@ mod batch {
     impl Tri {
         fn new() -> Tri {
             let compiled = || EngineConfig {
-                strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 ..Default::default()
             };
@@ -584,8 +604,6 @@ mod batch {
     fn mid_batch_quarantine_trip_matches_per_event() {
         fn build() -> Engine<usize> {
             let mut e = Engine::with_config(EngineConfig {
-                strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 quarantine_threshold: 2,
                 ..Default::default()
@@ -680,18 +698,10 @@ mod hot_reload {
             probes in prop::collection::vec(arb_event(), 1..5),
         ) {
             let sessions = sessions();
-            let compiled = || EngineConfig {
-                strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
-                ..Default::default()
-            };
             // Separate bases: `invalidate_compiled` is base-global, so
             // the full-recompile arm must not share the patched arm's
             // artifact cache.
-            let mut pair = MutPair::new(
-                Engine::with_config(compiled()),
-                Engine::with_config(compiled()),
-            );
+            let mut pair = MutPair::new(Engine::new(), Engine::new());
             for spec in &initial {
                 pair.add(spec)?;
             }
@@ -904,11 +914,11 @@ mod threaded {
     }
 
     /// One writer thread adds/removes/toggles rules in the shared base
-    /// while reader threads continuously compare four sessions — pure
-    /// index, hybrid (default threshold), the compiled tier (recompiling
-    /// on every observed snapshot flip) and the linear oracle — over
-    /// bitwise-identical pinned snapshots. Any divergence between the
-    /// strategies, or any torn snapshot observation, fails the test.
+    /// while reader threads continuously compare three sessions — the
+    /// compiled tier traced and untraced (recompiling on every observed
+    /// snapshot flip) and the linear oracle — over bitwise-identical
+    /// pinned snapshots. Any divergence between the strategies, or any
+    /// torn snapshot observation, fails the test.
     #[test]
     fn strategies_agree_under_concurrent_mutation() {
         const READERS: usize = 3;
@@ -951,67 +961,50 @@ mod threaded {
                 let sessions = sessions.clone();
                 let events = events.clone();
                 std::thread::spawn(move || {
-                    let mut indexed = base.session_with(EngineConfig {
-                        strategy: DispatchStrategy::Indexed,
-                        hybrid_linear_threshold: 0,
-                        ..Default::default()
-                    });
-                    let mut hybrid = base.session_with(EngineConfig {
-                        strategy: DispatchStrategy::Indexed,
-                        ..Default::default()
-                    });
                     let mut linear = base.session_with(EngineConfig {
                         strategy: DispatchStrategy::Linear,
                         ..Default::default()
                     });
-                    let mut compiled = base.session_with(EngineConfig {
-                        strategy: DispatchStrategy::Compiled,
-                        hybrid_linear_threshold: 0,
+                    let mut compiled = base.session();
+                    let mut compiled_fast = base.session_with(EngineConfig {
+                        tracing: false,
                         ..Default::default()
                     });
-                    // Pin the snapshots: each round refreshes the indexed
+                    // Pin the snapshots: each round refreshes the linear
                     // session, then clones its exact view into the others
-                    // so all four dispatch over the same rule set no
+                    // so all three dispatch over the same rule set no
                     // matter what the writer publishes meanwhile. The
-                    // compiled session recompiles its tables on every
-                    // snapshot flip it observes.
-                    for handle in [&mut indexed, &mut hybrid, &mut linear, &mut compiled] {
+                    // compiled sessions recompile their tables on every
+                    // snapshot flip they observe.
+                    for handle in [&mut linear, &mut compiled, &mut compiled_fast] {
                         handle.set_auto_sync(false);
                     }
                     for round in 0..READER_ROUNDS {
-                        indexed.sync();
-                        hybrid.sync_with(&indexed);
-                        linear.sync_with(&indexed);
-                        compiled.sync_with(&indexed);
+                        linear.sync();
+                        compiled.sync_with(&linear);
+                        compiled_fast.sync_with(&linear);
                         let ctx = &sessions[(r + round) % sessions.len()];
                         for event in &events {
                             // Twice per handle: the repeat hits each
                             // session's private winner cache.
                             for _ in 0..2 {
-                                let a = indexed.dispatch(event.clone(), ctx);
-                                let b = hybrid.dispatch(event.clone(), ctx);
-                                let c = linear.dispatch(event.clone(), ctx);
-                                let d = compiled.dispatch(event.clone(), ctx);
-                                let (Ok(a), Ok(b), Ok(c), Ok(d)) = (a, b, c, d) else {
+                                let a = linear.dispatch(event.clone(), ctx);
+                                let b = compiled.dispatch(event.clone(), ctx);
+                                let c = compiled_fast.dispatch(event.clone(), ctx);
+                                let (Ok(a), Ok(b), Ok(c)) = (a, b, c) else {
                                     panic!("stress dispatch failed on {event:?}");
                                 };
                                 assert_eq!(
                                     a.customizations, b.customizations,
-                                    "index vs hybrid on {event:?}"
+                                    "linear vs compiled on {event:?}"
                                 );
                                 assert_eq!(
                                     a.customizations, c.customizations,
-                                    "index vs linear on {event:?}"
-                                );
-                                assert_eq!(
-                                    c.customizations, d.customizations,
-                                    "linear vs compiled on {event:?}"
+                                    "linear vs untraced compiled on {event:?}"
                                 );
                                 assert_eq!(a.fired_names(), b.fired_names());
                                 assert_eq!(a.fired_names(), c.fired_names());
-                                assert_eq!(c.fired_names(), d.fired_names());
-                                assert_eq!(a.trace.entries, c.trace.entries);
-                                assert_eq!(c.trace.entries, d.trace.entries);
+                                assert_eq!(a.trace.entries, b.trace.entries);
                             }
                         }
                     }

@@ -306,7 +306,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Property 4: linear vs indexed agreement under identical fault schedules
+// Property 4: linear vs compiled agreement under identical fault schedules
 
 #[derive(Debug, Clone)]
 struct AgreementRule {
@@ -330,11 +330,6 @@ fn arb_agreement_rule() -> impl Strategy<Value = AgreementRule> {
 fn agreement_engine(strategy: DispatchStrategy, specs: &[AgreementRule]) -> Engine<usize> {
     let mut eng = Engine::with_config(EngineConfig {
         strategy,
-        // The generator produces 1..8 rules — under the default hybrid
-        // threshold every strategy would collapse to the direct scan.
-        // Forcing the tiered path keeps the compiled tables (and the
-        // discrimination index) actually under test.
-        hybrid_linear_threshold: 0,
         ..Default::default()
     });
     for (i, spec) in specs.iter().enumerate() {
@@ -416,11 +411,11 @@ fn agreement_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The indexed dispatch path, the compiled tier and the linear
-    /// oracle, fed the same seeded fault schedule, produce identical
-    /// outcomes — fault records, quarantines and errors included.
-    /// Neither the winner cache nor the compiled tables may let the
-    /// paths diverge under faults (quarantine trips mid-run included).
+    /// The compiled tier and the linear oracle, fed the same seeded
+    /// fault schedule, produce identical outcomes — fault records,
+    /// quarantines and errors included. Neither the winner cache nor the
+    /// compiled tables may let the paths diverge under faults
+    /// (quarantine trips mid-run included).
     #[test]
     fn strategies_agree_under_identical_fault_schedules(
         specs in prop::collection::vec(arb_agreement_rule(), 1..8),
@@ -428,10 +423,8 @@ proptest! {
         schedule in prop::collection::vec(arb_fault(2), 1..3),
     ) {
         let _g = serialized();
-        let indexed = agreement_run(DispatchStrategy::Indexed, &specs, &events, &schedule);
         let linear = agreement_run(DispatchStrategy::Linear, &specs, &events, &schedule);
         let compiled = agreement_run(DispatchStrategy::Compiled, &specs, &events, &schedule);
-        prop_assert_eq!(&indexed, &linear);
         prop_assert_eq!(&compiled, &linear);
     }
 }
