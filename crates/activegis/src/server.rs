@@ -1,24 +1,25 @@
 //! Concurrent multi-session serving.
 //!
 //! The paper interposes the active mechanism between *every* user
-//! interaction and the DBMS; the ROADMAP north star is a deployment that
-//! serves heavy traffic from many users at once. [`SessionServer`] is
-//! that serving layer: a dependency-free worker pool that shards user
-//! sessions across N OS threads and dispatches requests for distinct
-//! sessions in parallel.
+//! interaction and the DBMS. [`SessionServer`] is that serving layer: it
+//! spreads user sessions over N shards and serves each request on the
+//! caller's own thread.
 //!
 //! # Shard model
 //!
-//! Each worker thread owns a full [`Dispatcher`] — a private reader pin
-//! over *one shared* [`DbStore`] and its own engine *session* opened
-//! from one shared [`RuleBase`]. Both data and rules therefore exist
-//! once, published as immutable copy-on-write snapshots; everything
-//! mutable per dispatch (winner cache, scratch buffers, deferred queue,
-//! window registry) is shard-private, so workers never contend on a lock
-//! in the steady state. Sessions are pinned to a shard round-robin at
-//! open time: all requests of one session execute on one thread in
-//! arrival order, while requests of different sessions proceed in
-//! parallel. See `docs/scaling.md` for the full protocol.
+//! A shard is a full [`Dispatcher`] — a private reader pin over *one
+//! shared* [`DbStore`] and its own engine *session* opened from one
+//! shared [`RuleBase`] — behind a first-come, first-served turn. Data and
+//! rules exist once, published as immutable copy-on-write snapshots;
+//! everything mutable per dispatch (winner cache, scratch buffers,
+//! deferred queue, window registry) is shard-private. Sessions are pinned
+//! to a shard round-robin at open time. Requests of one shard run one at
+//! a time, in the order their calls reached its turn; requests on
+//! different shards run in parallel. For the length of a call the
+//! thread's [`obs::current_shard`] is the shard, so shard labels and
+//! per-shard trace rings keep working. A closure that panics unwinds in
+//! its caller and the shard serves on; one that calls back into its own
+//! shard deadlocks. See `docs/scaling.md` for the full protocol.
 //!
 //! Rule mutations go through any engine handle of the same rule base
 //! (e.g. the one inside another `Dispatcher`, or a plain
@@ -30,15 +31,14 @@
 //! is visible to a read on shard B immediately after it publishes (see
 //! `docs/storage.md`).
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 use active::{ActiveError, Outcome, RuleBase, SessionContext};
 use custlang::Customization;
-use geodb::query::{DbEvent, DbEventKind};
+use geodb::query::DbEvent;
 use geodb::repl::{ReadRouter, ReplicaStatus, ReplicaStore};
 use geodb::store::DbStore;
 use geodb::Epoch;
@@ -61,9 +61,11 @@ pub enum ReadRouting {
 }
 
 impl ReadRouting {
-    /// Router for one shard under this policy. `replica` is the shard's
-    /// assigned follower (`None` ⇒ primary-only regardless of policy).
-    fn router(self, store: &DbStore, replica: Option<&ReplicaStore>) -> ReadRouter {
+    /// Router for shard `shard` under this policy. The shard's follower is
+    /// `replicas[shard % N]`; with none attached it reads the primary
+    /// only, whatever the policy.
+    fn router(self, store: &DbStore, replicas: &[ReplicaStore], shard: usize) -> ReadRouter {
+        let replica = (!replicas.is_empty()).then(|| &replicas[shard % replicas.len()]);
         match (self, replica) {
             (ReadRouting::Primary, _) | (_, None) => ReadRouter::primary_only(store.reader()),
             (ReadRouting::Replica, Some(r)) => {
@@ -84,54 +86,81 @@ pub struct ServerSession {
     pub sid: SessionId,
 }
 
-/// One request unit executed on a shard's worker thread.
-enum Job {
-    Open {
-        context: SessionContext,
-        reply: Sender<SessionId>,
-    },
-    /// Dispatch a batch of database events for one session, replying
-    /// with per-event outcomes. Batching amortizes the queue round-trip
-    /// so the per-request cost is the dispatch itself.
-    Dispatch {
-        sid: SessionId,
-        events: Vec<DbEvent>,
-        reply: Sender<Result<Vec<Outcome<Customization>>, ActiveError>>,
-    },
-    /// Run an arbitrary closure against the shard's dispatcher (window
-    /// operations, program installs, introspection).
-    Exec(Box<dyn FnOnce(&mut Dispatcher) + Send>),
-    Shutdown,
+/// One shard: a dispatcher and the turn that admits its callers.
+struct Shard {
+    /// Only the caller holding `turn` locks it, so the lock never waits.
+    dispatcher: Mutex<Dispatcher>,
+    /// The shard's `shard` label value.
+    label: String,
+    turn: Turn,
 }
 
-/// A shard's work queue: jobs execute on the owning worker in FIFO
-/// order.
+/// A first-come, first-served turn: callers draw tickets in arrival
+/// order, and each release hands the turn to the next ticket and wakes
+/// only its thread. A plain mutex would let a caller that just released
+/// the shard take it again ahead of a parked one.
 #[derive(Default)]
-struct ShardQueue {
-    jobs: Mutex<Vec<Job>>,
-    ready: Condvar,
+struct Turn(Mutex<TurnState>);
+
+#[derive(Default)]
+struct TurnState {
+    next: u64,
+    /// The ticket that holds the turn.
+    serving: u64,
+    /// Threads of the tickets after `serving`, in ticket order.
+    parked: VecDeque<Thread>,
 }
 
-impl ShardQueue {
-    fn push(&self, job: Job) {
-        self.jobs.lock().unwrap().push(job);
-        self.ready.notify_one();
-    }
-
-    fn pop_all(&self) -> Vec<Job> {
-        let mut jobs = self.jobs.lock().unwrap();
-        while jobs.is_empty() {
-            jobs = self.ready.wait(jobs).unwrap();
+impl Turn {
+    /// Return once the calling thread holds the turn.
+    fn take(&self) {
+        let mut state = self.state();
+        let ticket = state.next;
+        state.next += 1;
+        if ticket != state.serving {
+            state.parked.push_back(thread::current());
+            drop(state);
+            // `park` may return before the hand-over; the ticket decides.
+            while self.state().serving != ticket {
+                thread::park();
+            }
         }
-        std::mem::take(&mut *jobs)
+    }
+
+    /// Hand the turn to the next ticket.
+    fn pass(&self) {
+        let next = {
+            let mut state = self.state();
+            state.serving += 1;
+            state.parked.pop_front()
+        };
+        if let Some(next) = next {
+            next.unpark();
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, TurnState> {
+        // No update of the state can panic midway, so poison is harmless.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// The concurrent serving layer: N worker threads, one dispatcher and
-/// one work queue per shard, sessions pinned to shards round-robin.
+/// Ends a shard call, also on unwind: the thread gets its own `obs`
+/// shard (the `u64`) back and the turn passes on.
+struct EndCall<'a>(&'a Turn, u64);
+
+impl Drop for EndCall<'_> {
+    fn drop(&mut self) {
+        obs::set_shard(self.1);
+        self.0.pass();
+    }
+}
+
+/// The concurrent serving layer: N shards, each a dispatcher behind a
+/// first-come, first-served turn, with sessions pinned to shards
+/// round-robin. Requests run on the caller's thread.
 pub struct SessionServer {
-    queues: Vec<Arc<ShardQueue>>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<Shard>,
     rule_base: RuleBase<Customization>,
     store: DbStore,
     /// Attached followers; shard `i` reads from replica `i % N` under a
@@ -139,22 +168,20 @@ pub struct SessionServer {
     /// pins (and background shippers) alive for the server's lifetime.
     replicas: Vec<ReplicaStore>,
     routing: Mutex<ReadRouting>,
-    sessions: Mutex<HashMap<u64, ServerSession>>,
-    next_session: AtomicU64,
     next_shard: AtomicU64,
 }
 
 impl SessionServer {
-    /// Start `workers` shard threads, all serving `store` — one shared
-    /// versioned database, not a copy per shard. Every shard opens an
-    /// engine session over `rule_base` and a reader pin over the store's
+    /// Start `shards` shards, all serving `store` — one shared versioned
+    /// database, not a copy per shard. Every shard opens an engine
+    /// session over `rule_base` and a reader pin over the store's
     /// current epoch.
     pub fn start(
-        workers: usize,
+        shards: usize,
         rule_base: RuleBase<Customization>,
         store: DbStore,
     ) -> SessionServer {
-        SessionServer::start_replicated(workers, rule_base, store, Vec::new(), ReadRouting::Primary)
+        SessionServer::start_replicated(shards, rule_base, store, Vec::new(), ReadRouting::Primary)
     }
 
     /// Start a *replicated* serving layer: shard `i` routes its reads to
@@ -163,50 +190,38 @@ impl SessionServer {
     /// policy degenerates to primary-only. The policy can be changed at
     /// run time with [`SessionServer::set_read_routing`].
     pub fn start_replicated(
-        workers: usize,
+        shards: usize,
         rule_base: RuleBase<Customization>,
         store: DbStore,
         replicas: Vec<ReplicaStore>,
         routing: ReadRouting,
     ) -> SessionServer {
-        let workers_n = workers.max(1);
-        let mut queues = Vec::with_capacity(workers_n);
-        let mut handles = Vec::with_capacity(workers_n);
-        for shard in 0..workers_n {
-            let queue = Arc::new(ShardQueue::default());
-            let session = rule_base.session();
-            let router = routing.router(&store, shard_replica(&replicas, shard));
-            let mut dispatcher = Dispatcher::with_router(
-                store.clone(),
-                router,
-                builder::InterfaceBuilder::with_paper_library(),
-                session,
-            );
-            let worker_queue = Arc::clone(&queue);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gis-shard-{shard}"))
-                    .spawn(move || worker_loop(&worker_queue, &mut dispatcher, shard))
-                    .expect("spawn shard worker"),
-            );
-            queues.push(queue);
-        }
+        let shards = (0..shards.max(1))
+            .map(|shard| Shard {
+                dispatcher: Mutex::new(Dispatcher::with_router(
+                    store.clone(),
+                    routing.router(&store, &replicas, shard),
+                    builder::InterfaceBuilder::with_paper_library(),
+                    rule_base.session(),
+                )),
+                label: shard.to_string(),
+                turn: Turn::default(),
+            })
+            .collect();
         SessionServer {
-            queues,
-            workers: handles,
+            shards,
             rule_base,
             store,
             replicas,
             routing: Mutex::new(routing),
-            sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
             next_shard: AtomicU64::new(0),
         }
     }
 
-    /// Number of shard threads.
+    /// Number of shards: dispatchers that each serve one request at a
+    /// time, on the caller's thread.
     pub fn shards(&self) -> usize {
-        self.queues.len()
+        self.shards.len()
     }
 
     /// The shared rule base every shard dispatches against.
@@ -270,28 +285,18 @@ impl SessionServer {
     /// new policy.
     pub fn set_read_routing(&self, routing: ReadRouting) {
         *self.routing.lock().unwrap() = routing;
-        for shard in 0..self.queues.len() {
-            let router = routing.router(&self.store, shard_replica(&self.replicas, shard));
-            let (tx, rx) = channel();
-            self.queues[shard].push(Job::Exec(Box::new(move |d| {
-                d.route_reads(router);
-                let _ = tx.send(());
-            })));
-            rx.recv().expect("shard worker alive");
+        for shard in 0..self.shards.len() {
+            let router = routing.router(&self.store, &self.replicas, shard);
+            self.on_shard(shard, |d| d.route_reads(router));
         }
     }
 
     /// Open a session for a user context; it is pinned to a shard
     /// round-robin and all its requests run there, in order.
     pub fn open_session(&self, context: SessionContext) -> ServerSession {
-        let shard = (self.next_shard.fetch_add(1, Ordering::Relaxed) as usize) % self.queues.len();
-        let (tx, rx) = channel();
-        self.queues[shard].push(Job::Open { context, reply: tx });
-        let sid = rx.recv().expect("shard worker alive");
-        let session = ServerSession { shard, sid };
-        let key = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().unwrap().insert(key, session);
-        session
+        let shard = (self.next_shard.fetch_add(1, Ordering::Relaxed) as usize) % self.shards.len();
+        let sid = self.on_shard(shard, |d| d.open_session(context));
+        ServerSession { shard, sid }
     }
 
     /// Dispatch one database event for a session and wait for the
@@ -307,36 +312,30 @@ impl SessionServer {
             .expect("one outcome per event"))
     }
 
-    /// Dispatch a batch of database events for one session (one queue
-    /// round-trip, outcomes in order). The batch is the serving layer's
+    /// Dispatch a batch of database events for one session (one turn on
+    /// its shard, outcomes in order). The batch is the serving layer's
     /// unit of work; `c5_throughput` drives these.
     pub fn dispatch_batch(
         &self,
         session: ServerSession,
         events: Vec<DbEvent>,
     ) -> Result<Vec<Outcome<Customization>>, ActiveError> {
-        let (tx, rx) = channel();
-        self.queues[session.shard].push(Job::Dispatch {
-            sid: session.sid,
-            events,
-            reply: tx,
-        });
-        rx.recv().expect("shard worker alive")
+        let label = &self.shards[session.shard].label;
+        self.on_shard(session.shard, |d| {
+            serve_batch(d, label, session.sid, events)
+        })
     }
 
-    /// Run a closure on a session's shard against its dispatcher and
-    /// wait for the result — the escape hatch for full-UI requests
-    /// (window opens, renders, program installs on that shard).
-    pub fn with_dispatcher<R: Send + 'static>(
+    /// Run a closure against a session's shard dispatcher, on the
+    /// calling thread once it is this caller's turn there — the escape
+    /// hatch for full-UI requests (window opens, renders, program
+    /// installs on that shard).
+    pub fn with_dispatcher<R>(
         &self,
         session: ServerSession,
-        f: impl FnOnce(&mut Dispatcher) -> R + Send + 'static,
+        f: impl FnOnce(&mut Dispatcher) -> R,
     ) -> R {
-        let (tx, rx) = channel();
-        self.queues[session.shard].push(Job::Exec(Box::new(move |d| {
-            let _ = tx.send(f(d));
-        })));
-        rx.recv().expect("shard worker alive")
+        self.on_shard(session.shard, f)
     }
 
     /// Install a customization program on every shard's dispatcher.
@@ -345,14 +344,8 @@ impl SessionServer {
     /// the rule count reported by the first shard.
     pub fn install_program(&self, source: &str, prefix: &str) -> Result<usize, UiError> {
         let mut first: Option<usize> = None;
-        for shard in 0..self.queues.len() {
-            let (tx, rx) = channel();
-            let src = source.to_string();
-            let pfx = prefix.to_string();
-            self.queues[shard].push(Job::Exec(Box::new(move |d| {
-                let _ = tx.send(d.install_program(&src, &pfx));
-            })));
-            let n = rx.recv().expect("shard worker alive")?;
+        for shard in 0..self.shards.len() {
+            let n = self.on_shard(shard, |d| d.install_program(source, prefix))?;
             first.get_or_insert(n);
         }
         // Compile the new rule generation now, off the serving path —
@@ -361,190 +354,137 @@ impl SessionServer {
         self.rule_base.precompile();
         Ok(first.unwrap_or(0))
     }
-}
 
-impl Drop for SessionServer {
-    fn drop(&mut self) {
-        for q in &self.queues {
-            q.push(Job::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// Run `f` on the calling thread against shard `shard`'s dispatcher,
+    /// once it is this caller's turn there, with the thread's `obs` shard
+    /// set to `shard` for the call.
+    fn on_shard<R>(&self, shard: usize, f: impl FnOnce(&mut Dispatcher) -> R) -> R {
+        let s = &self.shards[shard];
+        s.turn.take();
+        let _end = EndCall(&s.turn, obs::current_shard());
+        obs::set_shard(shard as u64);
+        // A closure that panicked poisoned the lock; the shard serves on
+        // with the state that closure left.
+        let mut dispatcher = s.dispatcher.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&mut dispatcher)
     }
 }
 
-/// The replica assigned to a shard: `shard % N`, `None` with no
-/// replicas attached.
-fn shard_replica(replicas: &[ReplicaStore], shard: usize) -> Option<&ReplicaStore> {
-    if replicas.is_empty() {
-        None
-    } else {
-        Some(&replicas[shard % replicas.len()])
+/// Serve one batch on a shard's dispatcher. Its trace is committed
+/// before this returns, so a caller that reads the trace ring next
+/// always finds it.
+fn serve_batch(
+    dispatcher: &mut Dispatcher,
+    shard_label: &str,
+    sid: SessionId,
+    events: Vec<DbEvent>,
+) -> Result<Vec<Outcome<Customization>>, ActiveError> {
+    // The root span's histogram is the default SLO's latency series: one
+    // sample per answered batch.
+    let _root = obs::trace_root(obs::slo::SERVER_BATCH_SPAN);
+    let batch_len = events.len();
+    if obs::trace_recording() {
+        obs::trace_annotate("shard", shard_label);
+        obs::trace_annotate("batch_len", batch_len.to_string());
     }
-}
-
-/// Grouping key for batch execution: events of one kind walk the same
-/// compiled jump table / index bucket. The rank is arbitrary but fixed —
-/// it only needs to collate equal kinds, and must stay a *stable* sort
-/// key so arrival order survives within each group.
-fn kind_rank(kind: DbEventKind) -> u8 {
-    match kind {
-        DbEventKind::GetSchema => 0,
-        DbEventKind::GetClass => 1,
-        DbEventKind::GetValue => 2,
-        DbEventKind::Insert => 3,
-        DbEventKind::Update => 4,
-        DbEventKind::Delete => 5,
-        DbEventKind::SchemaRegistered => 6,
-    }
-}
-
-fn worker_loop(queue: &ShardQueue, dispatcher: &mut Dispatcher, shard: usize) {
-    // Pin the worker thread to its shard: request traces commit to this
-    // shard's ring and shard-labeled counters attribute to it.
-    obs::set_shard(shard as u64);
-    let shard_label = shard.to_string();
-    loop {
-        for job in queue.pop_all() {
-            match job {
-                Job::Open { context, reply } => {
-                    let _ = reply.send(dispatcher.open_session(context));
+    let t0 = std::time::Instant::now();
+    // Execute grouped by event discriminant so one jump-table /
+    // index-bucket walk amortizes over the whole batch (same kind → same
+    // table, warm branch predictor, denser winner-cache probes). The
+    // sort is stable: events of one kind keep their arrival order, and
+    // replies are written back through `slots` in arrival order, so
+    // grouping is invisible to the client. The discriminant only needs
+    // to collate equal kinds; its order is arbitrary but fixed.
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by_key(|&i| events[i].kind() as u8);
+    let sorted: Vec<DbEvent> = {
+        let mut events: Vec<Option<DbEvent>> = events.into_iter().map(Some).collect();
+        order
+            .iter()
+            .map(|&i| events[i].take().expect("each slot dispatched once"))
+            .collect()
+    };
+    let mut slots: Vec<Option<Outcome<Customization>>> = (0..order.len()).map(|_| None).collect();
+    let mut dispatched = 0usize;
+    let mut degraded = 0u64;
+    let mut failed = None;
+    // One batched call: the dispatcher resolves the session and
+    // revalidates its reader pin once, and the engine's batch lane
+    // amortizes the table walk across each kind-sorted run. Every event
+    // dispatches (per-event isolation), but the batch still fails on the
+    // first error in *execution* (grouped) order, as before.
+    match dispatcher.dispatch_db_batch(sid, sorted) {
+        Ok(outcomes) => {
+            for (&i, outcome) in order.iter().zip(outcomes) {
+                match outcome {
+                    Ok(o) => {
+                        dispatched += 1;
+                        if !o.faults.is_empty() {
+                            degraded += 1;
+                        }
+                        slots[i] = Some(o);
+                    }
+                    Err(UiError::Active(e)) => {
+                        failed = Some(e);
+                        break;
+                    }
+                    Err(other) => {
+                        failed = Some(ActiveError::UnknownRule(other.to_string()));
+                        break;
+                    }
                 }
-                Job::Dispatch { sid, events, reply } => {
-                    // The reply is sent only after the trace guard has
-                    // dropped, so a client that reads the trace ring
-                    // right after `recv` always sees its own trace.
-                    let result = {
-                        // The root span's histogram is the default SLO's
-                        // latency series: one sample per answered batch.
-                        let _root = obs::trace_root(obs::slo::SERVER_BATCH_SPAN);
-                        let batch_len = events.len();
-                        if obs::trace_recording() {
-                            obs::trace_annotate("shard", shard_label.clone());
-                            obs::trace_annotate("batch_len", batch_len.to_string());
-                        }
-                        let t0 = std::time::Instant::now();
-                        // Execute grouped by event discriminant so one
-                        // jump-table / index-bucket walk amortizes over
-                        // the whole batch (same kind → same table, warm
-                        // branch predictor, denser winner-cache probes).
-                        // The sort is stable: events of one kind keep
-                        // their arrival order, and replies are written
-                        // back through `slots` in arrival order, so
-                        // grouping is invisible to the client.
-                        let mut order: Vec<usize> = (0..events.len()).collect();
-                        order.sort_by_key(|&i| kind_rank(events[i].kind()));
-                        let sorted: Vec<DbEvent> = {
-                            let mut events: Vec<Option<DbEvent>> =
-                                events.into_iter().map(Some).collect();
-                            order
-                                .iter()
-                                .map(|&i| events[i].take().expect("each slot dispatched once"))
-                                .collect()
-                        };
-                        let mut slots: Vec<Option<Outcome<Customization>>> =
-                            (0..order.len()).map(|_| None).collect();
-                        let mut dispatched = 0usize;
-                        let mut degraded = 0u64;
-                        let mut failed = None;
-                        // One batched call: the dispatcher resolves the
-                        // session and revalidates its reader pin once,
-                        // and the engine's batch lane amortizes the
-                        // table walk across each kind-sorted run. Every
-                        // event dispatches (per-event isolation), but
-                        // the batch still fails on the first error in
-                        // *execution* (grouped) order, as before.
-                        match dispatcher.dispatch_db_batch(sid, sorted) {
-                            Ok(outcomes) => {
-                                for (&i, outcome) in order.iter().zip(outcomes) {
-                                    match outcome {
-                                        Ok(o) => {
-                                            dispatched += 1;
-                                            if !o.faults.is_empty() {
-                                                degraded += 1;
-                                            }
-                                            slots[i] = Some(o);
-                                        }
-                                        Err(UiError::Active(e)) => {
-                                            failed = Some(e);
-                                            break;
-                                        }
-                                        Err(other) => {
-                                            failed =
-                                                Some(ActiveError::UnknownRule(other.to_string()));
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(UiError::Active(e)) => failed = Some(e),
-                            Err(other) => {
-                                failed = Some(ActiveError::UnknownRule(other.to_string()));
-                            }
-                        }
-                        if obs::enabled() {
-                            // SLO accounting: every event in the batch
-                            // is a request; an error fails the events
-                            // it prevented from dispatching, and
-                            // fault-degraded outcomes count separately.
-                            let ok = dispatched as u64 - degraded;
-                            let shard_lbl: &[(&str, &str)] = &[("shard", &shard_label)];
-                            if ok > 0 {
-                                obs::counter_add_labeled(
-                                    obs::slo::SERVER_REQUESTS,
-                                    &[("degraded", "false"), ("shard", &shard_label)],
-                                    ok,
-                                );
-                            }
-                            if degraded > 0 {
-                                obs::counter_add_labeled(
-                                    obs::slo::SERVER_REQUESTS,
-                                    &[("degraded", "true"), ("shard", &shard_label)],
-                                    degraded,
-                                );
-                            }
-                            let missed = if failed.is_some() {
-                                let missed = (batch_len - dispatched).max(1) as u64;
-                                obs::counter_add_labeled(
-                                    obs::slo::SERVER_REQUESTS,
-                                    shard_lbl,
-                                    missed,
-                                );
-                                missed
-                            } else {
-                                0
-                            };
-                            // Added even when zero, so the SLO's error
-                            // series exists from the first clean batch.
-                            obs::counter_add_labeled(
-                                obs::slo::SERVER_REQUEST_ERRORS,
-                                shard_lbl,
-                                missed,
-                            );
-                            obs::record_nanos_labeled(
-                                "server.batch_latency",
-                                shard_lbl,
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        if failed.is_some() {
-                            obs::trace_mark_fault();
-                        }
-                        match failed {
-                            Some(e) => Err(e),
-                            None => Ok(slots
-                                .into_iter()
-                                .map(|s| s.expect("no failure ⇒ every slot filled"))
-                                .collect()),
-                        }
-                    };
-                    let _ = reply.send(result);
-                }
-                Job::Exec(f) => f(dispatcher),
-                Job::Shutdown => return,
             }
         }
+        Err(UiError::Active(e)) => failed = Some(e),
+        Err(other) => {
+            failed = Some(ActiveError::UnknownRule(other.to_string()));
+        }
+    }
+    if obs::enabled() {
+        // SLO accounting: every event in the batch is a request; an
+        // error fails the events it prevented from dispatching, and
+        // fault-degraded outcomes count separately.
+        let ok = dispatched as u64 - degraded;
+        let shard_lbl: &[(&str, &str)] = &[("shard", shard_label)];
+        if ok > 0 {
+            obs::counter_add_labeled(
+                obs::slo::SERVER_REQUESTS,
+                &[("degraded", "false"), ("shard", shard_label)],
+                ok,
+            );
+        }
+        if degraded > 0 {
+            obs::counter_add_labeled(
+                obs::slo::SERVER_REQUESTS,
+                &[("degraded", "true"), ("shard", shard_label)],
+                degraded,
+            );
+        }
+        let missed = if failed.is_some() {
+            let missed = (batch_len - dispatched).max(1) as u64;
+            obs::counter_add_labeled(obs::slo::SERVER_REQUESTS, shard_lbl, missed);
+            missed
+        } else {
+            0
+        };
+        // Added even when zero, so the SLO's error series exists from
+        // the first clean batch.
+        obs::counter_add_labeled(obs::slo::SERVER_REQUEST_ERRORS, shard_lbl, missed);
+        obs::record_nanos_labeled(
+            "server.batch_latency",
+            shard_lbl,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+    if failed.is_some() {
+        obs::trace_mark_fault();
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(slots
+            .into_iter()
+            .map(|s| s.expect("no failure ⇒ every slot filled"))
+            .collect()),
     }
 }
 
@@ -554,12 +494,22 @@ mod tests {
     use active::Engine;
     use custlang::FIG6_PROGRAM;
     use geodb::gen::TelecomConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
 
-    fn server(workers: usize) -> SessionServer {
+    impl Turn {
+        /// Callers parked for the turn.
+        fn waiting(&self) -> usize {
+            self.state().parked.len()
+        }
+    }
+
+    fn server(shards: usize) -> SessionServer {
         let engine: Engine<Customization> = Engine::new();
         let base = engine.rule_base();
         let db = geodb::gen::phone_net_db(&TelecomConfig::small()).unwrap().0;
-        SessionServer::start(workers, base, DbStore::new(db))
+        SessionServer::start(shards, base, DbStore::new(db))
     }
 
     #[test]
@@ -846,5 +796,129 @@ mod tests {
             d.render(*windows.last().unwrap()).unwrap()
         });
         assert!(rendered.contains("Class: Pole"));
+    }
+
+    fn get_schema() -> DbEvent {
+        DbEvent::GetSchema {
+            schema: "phone_net".into(),
+        }
+    }
+
+    /// Poll until `done` holds, failing after 10 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_panicking_closure_unwinds_in_its_caller_and_frees_the_shard() {
+        let server = Arc::new(server(1));
+        let s = server.open_session(SessionContext::new("u", "c", "app"));
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            server.with_dispatcher(s, |_| -> () { panic!("boom") })
+        }))
+        .expect_err("the closure's panic reaches its caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+
+        // The shard still serves, and to another thread too.
+        let (tx, rx) = mpsc::channel();
+        let client = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let _ = tx.send(server.dispatch(s, get_schema()).is_ok());
+            })
+        };
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "a request after the panic is served"
+        );
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn callers_take_a_shard_in_arrival_order() {
+        let server = Arc::new(server(1));
+        let s = server.open_session(SessionContext::new("u", "c", "app"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                server.with_dispatcher(s, move |_| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            })
+        };
+        held_rx.recv().unwrap();
+        let caller = |name: &'static str| {
+            let server = Arc::clone(&server);
+            let order = Arc::clone(&order);
+            std::thread::spawn(move || {
+                server.with_dispatcher(s, move |_| order.lock().unwrap().push(name))
+            })
+        };
+        let turn = &server.shards[0].turn;
+        let b = caller("B");
+        wait_until("B parks", || turn.waiting() == 1);
+        let c = caller("C");
+        wait_until("C parks", || turn.waiting() == 2);
+        release_tx.send(()).unwrap();
+        for h in [holder, b, c] {
+            h.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), ["B", "C"]);
+        assert_eq!(turn.waiting(), 0);
+    }
+
+    #[test]
+    fn a_shard_call_scopes_the_obs_shard() {
+        obs::set_enabled(true);
+        obs::set_trace_sampling(1);
+        let server = server(2);
+        let _on_0 = server.open_session(SessionContext::new("u0", "c", "app"));
+        let s = server.open_session(SessionContext::new("u1", "c", "app"));
+        assert_eq!(s.shard, 1);
+        let served = "server.requests{degraded=\"false\",shard=\"1\"}";
+        let before = obs::snapshot().counter(served);
+
+        obs::set_shard(5);
+        // Seven events mark this test's batch among other tests' traces.
+        let outcomes = server.dispatch_batch(s, vec![get_schema(); 7]).unwrap();
+        assert_eq!(outcomes.len(), 7);
+        assert_eq!(obs::current_shard(), 5, "the caller's shard is back");
+        let is_ours = |t: &obs::TraceTree| {
+            t.spans.iter().any(|sp| {
+                sp.parent == 0
+                    && sp
+                        .annotations
+                        .iter()
+                        .any(|a| a.key == "batch_len" && a.value == "7")
+            })
+        };
+        let trace = obs::recent_traces(64)
+            .into_iter()
+            .find(is_ours)
+            .expect("the batch's trace is committed before the call returns");
+        assert_eq!(trace.shard, 1);
+        assert!(obs::snapshot().counter(served) >= before + 7);
+
+        let mut inside = None;
+        catch_unwind(AssertUnwindSafe(|| {
+            server.with_dispatcher(s, |_| {
+                inside = Some(obs::current_shard());
+                panic!("boom")
+            })
+        }))
+        .expect_err("the closure panicked");
+        assert_eq!(inside, Some(1), "the call runs as shard 1");
+        assert_eq!(obs::current_shard(), 5, "restored on unwind");
+        obs::set_shard(0);
+        obs::set_trace_sampling(0);
     }
 }

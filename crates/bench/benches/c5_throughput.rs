@@ -3,21 +3,24 @@
 //! The scaling claim behind the `SessionServer` tentpole: M concurrent
 //! sessions each replay a cache-hot Get_Class / Get_Value interaction
 //! loop against the paper's phone_net database, and we measure aggregate
-//! requests/sec as the shard-thread count grows (1, 2, 4, 8).
+//! requests/sec as the shard count grows (1, 2, 4, 8). A row's `threads`
+//! field is that shard count: the server starts no thread of its own.
 //!
 //! Sessions are pinned round-robin, so with T shards the M client
 //! threads fan their batches out over T independent dispatchers that
 //! share one copy-on-write rule snapshot *and one versioned database*
-//! (`geodb::store::DbStore`). Steady state does no locking on the read
-//! path; scaling is bounded only by the hardware parallelism actually
-//! available, which the summary records honestly as
+//! (`geodb::store::DbStore`). The 16 client threads do the work: each
+//! batch runs on its client's thread once that client holds its shard's
+//! first-come, first-served turn, so at most T batches run at once.
+//! Scaling is bounded by the turn hand-over and by the hardware
+//! parallelism actually available, which the summary records honestly as
 //! `available_parallelism` (CI containers are often single-core, where
-//! every thread count necessarily converges to the same requests/sec).
+//! every shard count necessarily converges to the same requests/sec).
 //!
 //! Writes `BENCH_throughput.json` (under `target/bench/`, or at the repo
 //! root with `BENCH_RECORD=1`):
-//! requests/sec per thread count, speedup vs 1 thread, scaling
-//! efficiency (speedup / threads), the shared-vs-copied database memory
+//! requests/sec per shard count, speedup vs 1 shard, scaling
+//! efficiency (speedup / shards), the shared-vs-copied database memory
 //! footprint (`db_bytes_shared` stays flat as shards grow; the copied
 //! model multiplies), and publish-latency quantiles for epoch commits
 //! through `DbStore::write`.
@@ -88,7 +91,7 @@ struct RunResult {
     db_bytes_shared: u64,
 }
 
-/// One full measurement at a given shard-thread count.
+/// One full measurement at a given shard count (`threads`).
 fn run(threads: usize, batches_per_session: usize, batch_len: usize) -> RunResult {
     let engine: Engine<Customization> = Engine::with_config(EngineConfig {
         tracing: false,
@@ -517,7 +520,7 @@ fn main() {
     for &t in thread_counts {
         let r = run(t, batches_per_session, batch_len);
         eprintln!(
-            "[c5 throughput] {:>2} threads: {:>9} requests in {:>7.3} s = {:>12.0} req/s \
+            "[c5 throughput] {:>2} shards: {:>9} requests in {:>7.3} s = {:>12.0} req/s \
              ({} KiB shared db)",
             r.threads,
             r.requests,
@@ -598,9 +601,11 @@ fn main() {
         (
             "note".into(),
             serde_json::Value::String(
-                "speedup_vs_1_thread is bounded above by available_parallelism; \
-                 on a single-core host all thread counts converge to ~1.0x. \
-                 db_bytes_shared is flat across thread counts because every shard \
+                "threads is the shard count; the 16 client threads do the work, \
+                 each batch on its client's thread once it holds its shard's turn. \
+                 speedup_vs_1_thread is bounded above by available_parallelism; \
+                 on a single-core host all shard counts converge to ~1.0x. \
+                 db_bytes_shared is flat across shard counts because every shard \
                  serves one DbStore; db_bytes_copied_model is what the retired \
                  copy-per-shard design would have cost"
                     .into(),

@@ -543,7 +543,7 @@ impl Dispatcher {
 
     /// Feed a batch of database events through the active engine for
     /// one session — the batched form of [`Dispatcher::dispatch_db`]
-    /// that the session server's shard workers use. The session context
+    /// that the session server's shards serve batches through. The session context
     /// is resolved and the reader pin revalidated once for the whole
     /// batch, and the engine's batch lane amortizes table-walk state
     /// across runs of identical events (the server pre-sorts by event

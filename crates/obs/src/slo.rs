@@ -32,10 +32,11 @@ use serde::Serialize;
 
 use crate::{snapshot, MetricsSnapshot};
 
-/// Root span a `SessionServer` shard opens around every batch it
-/// answers. Spans record a latency histogram under their own name, so
-/// this is an unlabeled series with one sample per batch — the default
-/// objective's latency metric.
+/// Root span a `SessionServer` shard opens, on the calling thread,
+/// around every batch it answers. Spans record a latency histogram under
+/// their own name, so this is an unlabeled series with one sample per
+/// batch — the default objective's latency metric. Inside a caller's own
+/// trace the span adds no trace node but still records its sample.
 pub const SERVER_BATCH_SPAN: &str = "server.dispatch_batch";
 /// Counter family of requests (events) the server answered, labeled by
 /// `shard` and `degraded`.

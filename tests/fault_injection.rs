@@ -748,8 +748,8 @@ fn threaded_fault_is_contained_to_the_victim_session() {
 
 /// CI sweep entry point, threaded edition: the `seeded_fault_sweep`
 /// schedule (seed from `FAULT_SEED`) over a `SessionServer`, with every
-/// interaction fanned out across shard threads. No panic may escape a
-/// shard, and after the storm every session serves windows again.
+/// interaction fanned out across shards from client threads. No panic may
+/// escape a shard, and after the storm every session serves windows again.
 #[test]
 fn threaded_fault_sweep() {
     let _g = serialized();
@@ -787,8 +787,9 @@ fn threaded_fault_sweep() {
         ))
         .expect("probe installs");
 
-    // The engine-path failpoints fire on the shard threads themselves;
-    // alternating error/panic actions exercise both containment paths.
+    // The engine-path failpoints fire inside the shard calls, on the
+    // client threads; alternating error/panic actions exercise both
+    // containment paths.
     for (i, name) in ["engine.callback", "engine.cascade"].iter().enumerate() {
         let action = if i % 2 == 0 {
             faultsim::FaultAction::Error
