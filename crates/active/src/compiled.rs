@@ -206,7 +206,7 @@ pub struct CompileStats {
     /// in degenerate snapshots that overflow the interning widths).
     pub packed_cache: bool,
     /// Whether this artifact was produced by patching the previous one
-    /// (see [`patch`]) rather than a full compile.
+    /// (see `compiled::patch`) rather than a full compile.
     pub patched: bool,
     /// Wall-clock nanoseconds the compile (or patch) took (off the
     /// dispatch path).

@@ -42,7 +42,6 @@ commands:
   :wal                                    WAL status (records, bytes, groups, durable epoch)
   :wal open <dir>                         make the store durable in <dir> (recover or fresh)
   :wal checkpoint                         checkpoint now and truncate the log
-  :wal window <ms>                        set the group-commit window
   :repl attach <id>                       attach a replica (full sync to current epoch)
   :repl status                            applied epoch / lag / sync counters per replica
   :repl sync                              drive every replica to the primary's epoch
@@ -328,14 +327,6 @@ impl Repl {
             [":wal", "checkpoint"] => match self.gis.checkpoint() {
                 Ok(epoch) => println!("checkpointed epoch {epoch}; log truncated"),
                 Err(e) => println!("error: {e}"),
-            },
-            [":wal", "window", ms] => match ms.parse::<u64>() {
-                Ok(ms) => {
-                    self.gis
-                        .set_group_window(std::time::Duration::from_millis(ms));
-                    println!("group-commit window: {ms} ms");
-                }
-                Err(_) => println!("error: `{ms}` is not a duration in ms"),
             },
             [":repl", "attach", id] => match self.gis.attach_replica(id) {
                 Ok(s) => println!(

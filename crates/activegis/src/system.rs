@@ -5,8 +5,6 @@
 //! generic interface builder, and GIS interface layer — behind one small
 //! API that the examples and downstream applications use.
 
-use std::time::Duration;
-
 use active::SessionContext;
 use builder::InterfaceBuilder;
 use geodb::db::Database;
@@ -227,11 +225,6 @@ impl ActiveGis {
         self.dispatcher.db_epoch()
     }
 
-    /// Live reader pins on the store (the dispatcher itself holds one).
-    pub fn pinned_snapshots(&mut self) -> usize {
-        self.dispatcher.store().pin_count()
-    }
-
     /// The oldest epoch any reader still pins (`None` when unpinned).
     pub fn pin_watermark(&mut self) -> Option<Epoch> {
         self.dispatcher.store().pin_watermark()
@@ -339,11 +332,6 @@ impl ActiveGis {
             active::Engine::new(),
         );
         Ok(report)
-    }
-
-    /// Tune the group-commit window of a durable store.
-    pub fn set_group_window(&mut self, window: Duration) {
-        self.dispatcher.store().set_group_window(window);
     }
 
     /// How the rule engine finds matching rules per event: the default

@@ -39,15 +39,17 @@
 //!
 //! A third section measures the **durable write path**: commits/sec and
 //! commit-latency quantiles through a WAL-attached store as the writer
-//! count and group-commit window vary, plus the observed group sizes and
-//! fsyncs-per-commit (group commit amortizes the fsync) and the
-//! retained-epoch gauge under a long-pinned reader. Every durability run
-//! ends with a simulated crash + recovery; `WAL_GATE=1` makes the bench
-//! exit non-zero if any recovered snapshot diverges from the state the
-//! writers acknowledged.
+//! count grows, plus the observed group sizes and fsyncs-per-commit
+//! (group commit amortizes the fsync) and the retained-epoch gauge under
+//! a long-pinned reader. Every durability run ends with a simulated
+//! crash + recovery. The `wal_encoding` section compares the 4-writer
+//! run's binary payload bytes with the same logged records encoded as
+//! JSON. `WAL_GATE=1` makes the bench exit non-zero if any recovered
+//! snapshot diverges from the state the writers acknowledged or binary
+//! frames are less than 2× smaller than JSON (`bench::wal_gate`).
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use active::{Engine, EngineConfig, SessionContext};
 use activegis::SessionServer;
@@ -187,14 +189,9 @@ fn publish_latency_us(samples: usize) -> (f64, f64, f64) {
     (q(0.5), q(0.95), lat[lat.len() - 1])
 }
 
-/// One durable write-path measurement: `writers` threads each commit
-/// `commits_each` single-attribute updates through one WAL-attached
-/// store, then the process "crashes" (drop) and recovers. Returns the
-/// row and whether recovery reproduced the acknowledged state
-/// byte-for-byte.
+/// One durable write-path measurement; see [`durability_run`].
 struct DurabilityRun {
     writers: usize,
-    window_ms: u64,
     commits: u64,
     commits_per_sec: f64,
     commit_p50_us: f64,
@@ -202,21 +199,18 @@ struct DurabilityRun {
     max_group: u64,
     fsyncs: u64,
     wal_payload_bytes: u64,
+    /// The same logged records encoded as JSON (`serde_json::to_vec`).
+    json_payload_bytes: u64,
     epochs_retained: u64,
     recovery_ok: bool,
 }
 
-fn durability_run(
-    writers: usize,
-    window: Duration,
-    commits_each: usize,
-    format: geodb::wal::WalFormat,
-) -> DurabilityRun {
-    let dir = std::env::temp_dir().join(format!(
-        "c5-durability-{}-w{writers}-g{}-{format:?}",
-        std::process::id(),
-        window.as_millis()
-    ));
+/// `writers` threads each commit `commits_each` single-attribute updates
+/// through one WAL-attached store, then the process "crashes" (drop) and
+/// recovers. The run records whether recovery reproduced the
+/// acknowledged state byte-for-byte.
+fn durability_run(writers: usize, commits_each: usize) -> DurabilityRun {
+    let dir = std::env::temp_dir().join(format!("c5-durability-{}-w{writers}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut db = geodb::db::Database::new("c5_dur");
@@ -243,13 +237,8 @@ fn durability_run(
         .collect();
     db.drain_events();
 
-    let (store, _) = geodb::wal::open(
-        db,
-        geodb::WalConfig::new(&dir)
-            .group_window(window)
-            .record_format(format),
-    )
-    .expect("durable store opens");
+    let (store, _) =
+        geodb::wal::open(db, geodb::WalConfig::new(&dir)).expect("durable store opens");
 
     // A reader pinned at the initial epoch for the whole storm: the
     // retained-epoch ring must stay bounded regardless.
@@ -301,6 +290,12 @@ fn durability_run(
     let acknowledged =
         geodb::snapshot::save_snapshot(&store.snapshot()).expect("snapshot serializes");
     drop(store);
+    let json_payload_bytes = geodb::wal::read_wal(&dir.join(geodb::wal::WAL_FILE))
+        .expect("the log reads back")
+        .records
+        .iter()
+        .map(|rec| serde_json::to_vec(rec).expect("record encodes").len() as u64)
+        .sum();
     let recovery_ok = match geodb::wal::recover(geodb::WalConfig::new(&dir)) {
         Ok((recovered, _report)) => {
             geodb::snapshot::save_snapshot(&recovered.snapshot()).expect("snapshot serializes")
@@ -315,7 +310,6 @@ fn durability_run(
 
     DurabilityRun {
         writers,
-        window_ms: window.as_millis() as u64,
         commits,
         commits_per_sec: commits as f64 / elapsed_s,
         commit_p50_us,
@@ -323,40 +317,33 @@ fn durability_run(
         max_group: status.max_group,
         fsyncs: status.fsyncs,
         wal_payload_bytes: status.payload_bytes,
+        json_payload_bytes,
         epochs_retained,
         recovery_ok,
     }
 }
 
-fn durability_section(quick: bool) -> (serde_json::Value, bool) {
+/// The writer count whose run the `wal_encoding` section reads.
+const ENCODING_WRITERS: usize = 4;
+
+/// The durability section and the `wal_encoding` section, both from one
+/// set of runs. Group commit needs no window: writers that arrive while
+/// the leader is in fsync queue up and form the next group.
+fn durability_sections(quick: bool) -> (serde_json::Value, serde_json::Value) {
     let commits_each = if quick { 50 } else { 200 };
-    // Window 0 still batches: followers piggyback while the leader is
-    // inside fsync. A positive window trades commit latency for larger
-    // groups (it only pays off when fsync is slower than the window).
-    let shapes: &[(usize, u64)] = if quick {
-        &[(1, 0), (4, 0), (4, 2)]
-    } else {
-        &[(1, 0), (2, 0), (4, 0), (8, 0), (4, 2)]
-    };
+    let writer_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
+    let runs: Vec<DurabilityRun> = writer_counts
+        .iter()
+        .map(|&writers| durability_run(writers, commits_each))
+        .collect();
+    let baseline = runs[0].commits_per_sec;
     let mut rows = Vec::new();
-    let mut all_ok = true;
-    let mut baseline = 0.0f64;
-    for &(writers, window_ms) in shapes {
-        let r = durability_run(
-            writers,
-            Duration::from_millis(window_ms),
-            commits_each,
-            geodb::wal::WalFormat::Binary,
-        );
-        if writers == 1 && window_ms == 0 {
-            baseline = r.commits_per_sec;
-        }
+    for r in &runs {
         eprintln!(
-            "[c5 throughput] durable commits: {:>2} writer(s), {:>2} ms window: \
+            "[c5 throughput] durable commits: {:>2} writer(s): \
              {:>8.0} commits/s, p50 {:>7.1} us, p99 {:>8.1} us, \
              max group {}, {} fsyncs / {} commits, {} epochs retained, recovery {}",
             r.writers,
-            r.window_ms,
             r.commits_per_sec,
             r.commit_p50_us,
             r.commit_p99_us,
@@ -366,13 +353,8 @@ fn durability_section(quick: bool) -> (serde_json::Value, bool) {
             r.epochs_retained,
             if r.recovery_ok { "ok" } else { "DIVERGED" }
         );
-        all_ok &= r.recovery_ok;
         rows.push(serde_json::Value::Object(vec![
             ("writers".into(), serde_json::Value::U64(r.writers as u64)),
-            (
-                "group_window_ms".into(),
-                serde_json::Value::U64(r.window_ms),
-            ),
             ("commits".into(), serde_json::Value::U64(r.commits)),
             (
                 "commits_per_sec".into(),
@@ -380,11 +362,7 @@ fn durability_section(quick: bool) -> (serde_json::Value, bool) {
             ),
             (
                 "speedup_vs_single_writer".into(),
-                serde_json::Value::F64(if baseline > 0.0 {
-                    r.commits_per_sec / baseline
-                } else {
-                    1.0
-                }),
+                serde_json::Value::F64(r.commits_per_sec / baseline),
             ),
             (
                 "commit_latency_p50_us".into(),
@@ -407,7 +385,7 @@ fn durability_section(quick: bool) -> (serde_json::Value, bool) {
             ("recovery_ok".into(), serde_json::Value::Bool(r.recovery_ok)),
         ]));
     }
-    let section = serde_json::Value::Object(vec![
+    let durability = serde_json::Value::Object(vec![
         (
             "workload".into(),
             serde_json::Value::String(
@@ -423,86 +401,42 @@ fn durability_section(quick: bool) -> (serde_json::Value, bool) {
         ),
         ("rows".into(), serde_json::Value::Array(rows)),
     ]);
-    (section, all_ok)
-}
 
-/// JSON vs binary record encoding under the same 4-writer commit storm:
-/// the payload-byte ratio is the headline (the binary codec's whole
-/// point), commits/sec rides along (smaller frames mean less checksum
-/// and write-syscall work per commit). Both runs end in crash+recovery.
-fn wal_encoding_section(quick: bool) -> (serde_json::Value, bool) {
-    let commits_each = if quick { 50 } else { 200 };
-    let writers = 4;
-    let json = durability_run(
-        writers,
-        Duration::ZERO,
-        commits_each,
-        geodb::wal::WalFormat::Json,
-    );
-    let binary = durability_run(
-        writers,
-        Duration::ZERO,
-        commits_each,
-        geodb::wal::WalFormat::Binary,
-    );
-    let size_ratio = json.wal_payload_bytes as f64 / binary.wal_payload_bytes.max(1) as f64;
+    // The payload-byte ratio is the binary codec's whole point: the
+    // records the 4-writer run logged, as written (binary) and as JSON.
+    let r = runs
+        .iter()
+        .find(|r| r.writers == ENCODING_WRITERS)
+        .expect("a 4-writer durability run");
+    let size_ratio = r.json_payload_bytes as f64 / r.wal_payload_bytes.max(1) as f64;
     eprintln!(
-        "[c5 throughput] wal encoding, {writers} writers x {commits_each} commits: \
-         json {} B vs binary {} B payload ({size_ratio:.2}x smaller), \
-         {:.0} vs {:.0} commits/s, recovery {}/{}",
-        json.wal_payload_bytes,
-        binary.wal_payload_bytes,
-        json.commits_per_sec,
-        binary.commits_per_sec,
-        if json.recovery_ok { "ok" } else { "DIVERGED" },
-        if binary.recovery_ok { "ok" } else { "DIVERGED" },
+        "[c5 throughput] wal encoding, {} writers x {commits_each} commits: \
+         json {} B vs binary {} B payload ({size_ratio:.2}x smaller)",
+        r.writers, r.json_payload_bytes, r.wal_payload_bytes,
     );
-    let ok = json.recovery_ok && binary.recovery_ok && size_ratio >= 2.0;
-    if size_ratio < 2.0 {
-        eprintln!(
-            "[c5 throughput] wal encoding: binary frames only {size_ratio:.2}x smaller \
-             than JSON (target >= 2x)"
-        );
-    }
-    let section = serde_json::Value::Object(vec![
+    let wal_encoding = serde_json::Value::Object(vec![
         (
             "workload".into(),
             serde_json::Value::String(
-                "identical 4-writer commit storm logged twice: record_format=Json \
-                 vs record_format=Binary (interned-string tree codec); both crash \
-                 and recover"
+                "the records the 4-writer durability run logged: binary payload \
+                 bytes as written (interned-string tree codec) vs the same \
+                 records as JSON"
                     .into(),
             ),
         ),
-        ("writers".into(), serde_json::Value::U64(writers as u64)),
-        ("commits".into(), serde_json::Value::U64(json.commits)),
+        ("writers".into(), serde_json::Value::U64(r.writers as u64)),
+        ("commits".into(), serde_json::Value::U64(r.commits)),
         (
             "json_payload_bytes".into(),
-            serde_json::Value::U64(json.wal_payload_bytes),
+            serde_json::Value::U64(r.json_payload_bytes),
         ),
         (
             "binary_payload_bytes".into(),
-            serde_json::Value::U64(binary.wal_payload_bytes),
+            serde_json::Value::U64(r.wal_payload_bytes),
         ),
         ("size_ratio".into(), serde_json::Value::F64(size_ratio)),
-        (
-            "json_commits_per_sec".into(),
-            serde_json::Value::F64(json.commits_per_sec),
-        ),
-        (
-            "binary_commits_per_sec".into(),
-            serde_json::Value::F64(binary.commits_per_sec),
-        ),
-        (
-            "commit_speedup".into(),
-            serde_json::Value::F64(binary.commits_per_sec / json.commits_per_sec.max(1e-9)),
-        ),
-        (
-            "recovery_ok".into(),
-            serde_json::Value::Bool(json.recovery_ok && binary.recovery_ok),
-        ),
     ]);
-    (section, ok)
+    (durability, wal_encoding)
 }
 
 fn main() {
@@ -538,8 +472,12 @@ fn main() {
          p50 {pub_p50:.1} us, p95 {pub_p95:.1} us, max {pub_max:.1} us"
     );
 
-    let (durability, recovery_ok) = durability_section(quick);
-    let (wal_encoding, encoding_ok) = wal_encoding_section(quick);
+    let (durability, wal_encoding) = durability_sections(quick);
+    // Judged before the sections move into the summary.
+    let wal_verdict = bench::wal_gate(
+        durability["rows"].as_array().expect("durability rows"),
+        &wal_encoding,
+    );
 
     let base_rps = results[0].requests_per_sec;
     let rows: Vec<serde_json::Value> = results
@@ -765,16 +703,15 @@ fn main() {
         }
     }
 
-    // Durability gate: every crash + recovery in the durability section
-    // must reproduce the acknowledged state byte-for-byte, and the binary
-    // record codec must hold its >= 2x payload-size win over JSON.
-    // Throughput is advisory; divergence or a size regression is a
-    // correctness failure.
-    if std::env::var("WAL_GATE").is_ok() && !(recovery_ok && encoding_ok) {
-        eprintln!(
-            "[c5 throughput] WAL_GATE: recovery diverged or binary encoding \
-             lost its size win"
-        );
-        std::process::exit(1);
+    // Durability gate (`bench::wal_gate`): every crash + recovery in the
+    // durability section must reproduce the acknowledged state
+    // byte-for-byte, and binary frames must stay >= 2x smaller than the
+    // same records as JSON. Throughput is advisory; divergence or a size
+    // regression is a correctness failure.
+    if std::env::var("WAL_GATE").is_ok() {
+        if let Err(e) = wal_verdict {
+            eprintln!("[c5 throughput] WAL_GATE: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -155,6 +155,44 @@ pub fn batch_lane_gate(rows: &[serde_json::Value]) -> Result<(), String> {
     Ok(())
 }
 
+/// Smallest payload-size win of binary WAL frames over the same records
+/// as JSON that `WAL_GATE` accepts.
+const GATE_MIN_WAL_SIZE_RATIO: f64 = 2.0;
+
+/// The criterion of `WAL_GATE`, over the `durability` rows (`writers`,
+/// `recovery_ok`) and the `wal_encoding` section (`size_ratio`) of
+/// `BENCH_throughput.json`: every durability run's crash + recovery must
+/// reproduce the state its writers saw acknowledged, and binary frames
+/// must be at least 2× smaller than the same records as JSON. No
+/// durability row fails: a gate that judged nothing must not pass.
+pub fn wal_gate(
+    durability_rows: &[serde_json::Value],
+    wal_encoding: &serde_json::Value,
+) -> Result<(), String> {
+    if durability_rows.is_empty() {
+        return Err("no durability rows to judge".into());
+    }
+    for row in durability_rows {
+        let ok = row["recovery_ok"]
+            .as_bool()
+            .ok_or_else(|| format!("row without a boolean `recovery_ok`: {row:?}"))?;
+        if !ok {
+            return Err(format!(
+                "recovery diverged from the acknowledged state with {} writer(s)",
+                num(row, "writers")?
+            ));
+        }
+    }
+    let ratio = num(wal_encoding, "size_ratio")?;
+    if ratio < GATE_MIN_WAL_SIZE_RATIO {
+        return Err(format!(
+            "binary WAL frames are only {ratio:.2}x smaller than the same records as JSON \
+             (floor {GATE_MIN_WAL_SIZE_RATIO}x)"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +260,45 @@ mod tests {
         let batch = doc["batch"]["rows"].as_array().expect("batch rows");
         assert_eq!(compiled_tier_gate(strategy), Ok(()));
         assert_eq!(batch_lane_gate(batch), Ok(()));
+    }
+
+    fn durability_row(writers: u64, recovery_ok: bool) -> Value {
+        Value::Object(vec![
+            ("writers".into(), Value::U64(writers)),
+            ("recovery_ok".into(), Value::Bool(recovery_ok)),
+        ])
+    }
+
+    fn encoding(size_ratio: f64) -> Value {
+        Value::Object(vec![("size_ratio".into(), Value::F64(size_ratio))])
+    }
+
+    #[test]
+    fn wal_gate_rejects_divergence_a_lost_size_win_and_empty_input() {
+        let good = vec![durability_row(1, true), durability_row(4, true)];
+        assert_eq!(wal_gate(&good, &encoding(2.16)), Ok(()));
+
+        let mut diverged = good.clone();
+        diverged.push(durability_row(8, false));
+        let err = wal_gate(&diverged, &encoding(2.16)).unwrap_err();
+        assert!(err.contains("8 writer"), "{err}");
+
+        let err = wal_gate(&good, &encoding(1.9)).unwrap_err();
+        assert!(err.contains("1.90x"), "{err}");
+
+        assert!(wal_gate(&[], &encoding(2.16)).is_err());
+        assert!(wal_gate(&good, &Value::Null).is_err());
+    }
+
+    #[test]
+    fn committed_throughput_rows_pass_the_wal_gate() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json");
+        let text = std::fs::read_to_string(&path).expect("BENCH_throughput.json is committed");
+        let doc: Value = serde_json::from_str(&text).expect("BENCH_throughput.json parses");
+        let rows = doc["durability"]["rows"]
+            .as_array()
+            .expect("durability rows");
+        assert_eq!(wal_gate(rows, &doc["wal_encoding"]), Ok(()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`CostModel`] — deployment cost (lines touched, redeploys) to
 //!   support N user contexts under the three pre-existing approaches
 //!   vs. the active one, calibrated from the paper's own datapoint:
-//!   the reference implementation [14] spent over 10 000 lines of code
+//!   the reference implementation \[14\] spent over 10 000 lines of code
 //!   on more than 100 distinct windows (~100 lines per window).
 
 use std::sync::Arc;
@@ -102,10 +102,10 @@ pub struct Cost {
 }
 
 /// Cost model for the paper's Section 2.2 comparison, calibrated from
-/// [14]: ~10 000 LoC for >100 windows, i.e. ~100 lines per window.
+/// \[14\]: ~10 000 LoC for >100 windows, i.e. ~100 lines per window.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    /// Lines to hand-code one window in a toolkit (from [14]).
+    /// Lines to hand-code one window in a toolkit (from \[14\]).
     pub lines_per_window: u64,
     /// Lines of glue per additional paradigm kept in sync.
     pub glue_lines_per_paradigm: u64,

@@ -8,12 +8,12 @@
 //!
 //! 1. [`lexer`] / [`parser`] — the Fig. 3 grammar, with line-numbered
 //!    errors;
-//! 2. [`analyze`] — semantic checks against the database catalog and the
+//! 2. [`analyze`](mod@analyze) — semantic checks against the database catalog and the
 //!    interface-objects library ("the target user … has knowledge about
 //!    the database schema", and the analyzer keeps them honest);
-//! 3. [`compile`] — directives → E-C-A rules, one rule per
+//! 3. [`compile`](mod@compile) — directives → E-C-A rules, one rule per
 //!    `Get_Schema` / `Get_Class` / `Get_Value` window level;
-//! 4. [`pretty`] — canonical formatting (round-trip safe).
+//! 4. [`pretty`](mod@pretty) — canonical formatting (round-trip safe).
 //!
 //! The verbatim Fig. 6 program ships as [`parser::FIG6_PROGRAM`].
 //!

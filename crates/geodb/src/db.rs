@@ -2,7 +2,7 @@
 //! the event stream the active mechanism intercepts.
 //!
 //! A `Database` holds the one copy of the data. Its class extents are
-//! the copy-on-write partitions ([`crate::partition`]) that published
+//! the copy-on-write partitions (`crate::partition`) that published
 //! snapshots share, so a write patches them through `Arc::make_mut` and
 //! copies only what an older snapshot still holds. Queries run the
 //! [`DbSnapshot`] implementation over the same partitions; the

@@ -35,21 +35,21 @@
 //! record under the writer lock (preserving WAL epoch order), enqueues
 //! it, and the first writer to find no active leader drains the whole
 //! queue with **one** WAL append run + **one** fsync + **one** epoch
-//! publish (of the batch's newest snapshot). A tunable group window
-//! lets the leader wait for stragglers already inside `write`. A WAL
-//! failure (injected crash) *poisons* the store: every later write
-//! fails fast, reads keep serving the last published epoch, and the
-//! process model recovers from disk via [`crate::wal::recover`].
+//! publish (of the batch's newest snapshot). The leader flushes at
+//! once; writers that arrive while it is in fsync queue up and form the
+//! next group. A WAL failure (injected crash) *poisons* the store:
+//! every later write fails fast, reads keep serving the last published
+//! epoch, and the process model recovers from disk via
+//! [`crate::wal::recover`].
 //!
 //! ## Pins, retention and GC
 //!
 //! Reader pins are tracked explicitly (epoch → pin count): the *pin
 //! watermark* is the oldest pinned epoch, and the store retains recent
-//! snapshots down to that watermark — bounded by a hard cap
-//! ([`DbStore::set_retention`], default 8) so one long-pinned reader
-//! cannot make the retained ring grow without bound (the reader's own
-//! `Arc` keeps its snapshot alive either way; the store just stops
-//! tracking it). `db.epochs_retained` gauges the ring size. Replicas
+//! snapshots down to that watermark — bounded by a hard cap of 8
+//! snapshots so one long-pinned reader cannot make the retained ring
+//! grow without bound (the reader's own `Arc` keeps its snapshot alive
+//! either way; the store just stops tracking it). `db.epochs_retained` gauges the ring size. Replicas
 //! ([`crate::repl`]) pin the primary at their applied epoch through the
 //! same registry, so a lagging replica holds its delta base alive — up
 //! to the cap, past which it falls back to a full sync.
@@ -57,7 +57,7 @@
 //! ## Roles
 //!
 //! The read surface — publish slot, epoch watermark, pins, retention —
-//! lives in a role-agnostic [`ReadCore`] shared by two owners: the
+//! lives in a role-agnostic `ReadCore` shared by two owners: the
 //! *primary* [`DbStore`] (which adds the writer, WAL and group commit)
 //! and the *replica* [`crate::repl::ReplicaStore`] (which publishes
 //! epochs applied from shipped deltas into its own [`Database`]).
@@ -71,7 +71,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::catalog::Catalog;
 use crate::db::{aggregate_rows, Aggregate, Database, MethodFn, QueryStats, RefResolver};
@@ -84,6 +84,7 @@ use crate::query::{DbEvent, Predicate};
 use crate::schema::SchemaDef;
 use crate::value::Value;
 use crate::wal::{self, Wal, WalOp, WalRecord, WalStatus};
+use crate::walcodec;
 
 /// The `geodb.query` failpoint — every query primitive, on a snapshot
 /// or on the mutable database, honours it.
@@ -569,13 +570,12 @@ pub(crate) struct ReadCore {
     /// smallest key is the pin watermark.
     pins: Mutex<BTreeMap<Epoch, usize>>,
     /// Recently published snapshots, oldest first, trimmed to the pin
-    /// watermark and `max_retained`.
+    /// watermark and [`RETAINED_CAP`].
     retained: Mutex<VecDeque<Arc<DbSnapshot>>>,
-    max_retained: AtomicU64,
 }
 
-/// Default bound on the retained-snapshot ring.
-const DEFAULT_MAX_RETAINED: u64 = 8;
+/// Bound on the retained-snapshot ring.
+const RETAINED_CAP: usize = 8;
 
 impl ReadCore {
     pub(crate) fn new(snap: Arc<DbSnapshot>) -> ReadCore {
@@ -585,7 +585,6 @@ impl ReadCore {
             epoch: AtomicU64::new(epoch.get()),
             pins: Mutex::new(BTreeMap::new()),
             retained: Mutex::new(VecDeque::from([snap])),
-            max_retained: AtomicU64::new(DEFAULT_MAX_RETAINED),
         }
     }
 
@@ -645,8 +644,7 @@ impl ReadCore {
         while ret.len() > 1 && ret.front().map(|s| s.epoch()) < Some(floor.min(newest)) {
             ret.pop_front();
         }
-        let cap = self.max_retained.load(Ordering::Relaxed).max(1) as usize;
-        while ret.len() > cap {
+        while ret.len() > RETAINED_CAP {
             ret.pop_front();
         }
         if obs::enabled() {
@@ -696,13 +694,6 @@ impl ReadCore {
             .cloned()
     }
 
-    pub(crate) fn set_retention(&self, cap: usize) {
-        self.max_retained
-            .store(cap.max(1) as u64, Ordering::Relaxed);
-        let mut ret = lock(&self.retained);
-        self.trim_retained(&mut ret);
-    }
-
     /// A pinned reader starting at the current snapshot.
     pub(crate) fn reader(self: &Arc<Self>) -> DbReader {
         let snap = self.snapshot();
@@ -724,17 +715,8 @@ struct StoreShared {
     /// Mirror of `wal.is_some()` so the write path can branch without
     /// touching the WAL lock.
     wal_attached: AtomicBool,
-    /// Mirror of the attached WAL's record format (true = binary
-    /// frames), for the same lock-free reason.
-    wal_binary: AtomicBool,
-    /// Group-commit window in nanoseconds (copied from the WAL config
-    /// at attach; leaders read it without the WAL lock).
-    group_window_nanos: AtomicU64,
     commit: Mutex<CommitState>,
     commit_cv: Condvar,
-    /// Writers currently inside `write()` — the leader's heuristic for
-    /// whether waiting the group window can grow the batch.
-    active_writers: AtomicU64,
     /// Epoch-publish subscribers (replication shippers). Senders that
     /// disconnected are dropped at the next publish.
     subscribers: Mutex<Vec<Sender<Epoch>>>,
@@ -779,11 +761,8 @@ impl DbStore {
                 core: Arc::new(ReadCore::new(snap)),
                 wal: Mutex::new(None),
                 wal_attached: AtomicBool::new(false),
-                wal_binary: AtomicBool::new(true),
-                group_window_nanos: AtomicU64::new(0),
                 commit: Mutex::new(CommitState::default()),
                 commit_cv: Condvar::new(),
-                active_writers: AtomicU64::new(0),
                 subscribers: Mutex::new(Vec::new()),
             }),
         }
@@ -799,8 +778,6 @@ impl DbStore {
             let w = lock(&store.shared.writer);
             w.db.next_oid()
         };
-        let window = wal.config().group_window;
-        let binary = wal.config().record_format == wal::WalFormat::Binary;
         {
             // Lock order: wal before commit.
             let mut wal_slot = lock(&store.shared.wal);
@@ -809,11 +786,6 @@ impl DbStore {
             c.durable = Some((snap, next_oid));
             *wal_slot = Some(wal);
         }
-        store
-            .shared
-            .group_window_nanos
-            .store(window.as_nanos() as u64, Ordering::Relaxed);
-        store.shared.wal_binary.store(binary, Ordering::Relaxed);
         store.shared.wal_attached.store(true, Ordering::Relaxed);
         store
     }
@@ -837,17 +809,10 @@ impl DbStore {
         self.shared.core.reader()
     }
 
-    /// Reader pins currently held (see [`DbStore::pin_count`]). Raw
-    /// `snapshot()` `Arc` clones are intentionally *not* counted — only
-    /// [`DbReader`] pins (and attached replicas) participate in the
-    /// retention watermark.
-    pub fn pinned_snapshots(&self) -> usize {
-        self.pin_count()
-    }
-
     /// Number of live [`DbReader`] pins across all epochs (replicas
     /// included — each attached replica holds one pin at its applied
-    /// epoch).
+    /// epoch). Raw `snapshot()` `Arc` clones are intentionally *not*
+    /// counted: only pins participate in the retention watermark.
     pub fn pin_count(&self) -> usize {
         self.shared.core.pin_count()
     }
@@ -868,11 +833,6 @@ impl DbStore {
     /// A retained snapshot by epoch, if the ring still holds it.
     pub fn snapshot_at(&self, epoch: Epoch) -> Option<Arc<DbSnapshot>> {
         self.shared.core.snapshot_at(epoch)
-    }
-
-    /// Bound the retained-snapshot ring (min 1 = current only).
-    pub fn set_retention(&self, cap: usize) {
-        self.shared.core.set_retention(cap)
     }
 
     /// The role-agnostic read core (replication plumbing).
@@ -912,13 +872,6 @@ impl DbStore {
     /// published epoch may already be higher if the batch carried later
     /// writes.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<Committed<R>> {
-        self.shared.active_writers.fetch_add(1, Ordering::Relaxed);
-        let out = self.write_inner(f);
-        self.shared.active_writers.fetch_sub(1, Ordering::Relaxed);
-        out
-    }
-
-    fn write_inner<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<Committed<R>> {
         let mut w = lock(&self.shared.writer);
         self.check_poisoned()?;
         let t0 = Instant::now();
@@ -935,12 +888,7 @@ impl DbStore {
                 ops: redo_ops(&snap, &events),
                 events,
             };
-            let format = if self.shared.wal_binary.load(Ordering::Relaxed) {
-                wal::WalFormat::Binary
-            } else {
-                wal::WalFormat::Json
-            };
-            let payload = wal::encode_payload_with(&record, format)?;
+            let payload = walcodec::encode_record(&record);
             events = record.events;
             // Enqueue while still holding the writer lock: the commit
             // queue (and therefore the WAL) stays in strict epoch order.
@@ -969,9 +917,9 @@ impl DbStore {
 
     /// Wait until `my_epoch` is durable + published, becoming the
     /// group-commit leader if no one holds that role. The leader drains
-    /// the queue (optionally waiting the group window for writers still
-    /// in flight), appends every record, fsyncs once, publishes the
-    /// newest snapshot, and wakes the followers.
+    /// the queue at once, appends every record, fsyncs once, publishes
+    /// the newest snapshot, and wakes the followers. Writers that queue
+    /// meanwhile wait for the next leader: that is the batching.
     fn commit_wait(
         &self,
         mut c: MutexGuard<'_, CommitState>,
@@ -994,19 +942,6 @@ impl DbStore {
                 .commit_cv
                 .wait(c)
                 .unwrap_or_else(|e| e.into_inner());
-        }
-        // Leader. If writers beyond the queued ones are mid-`write`,
-        // give them one window to join this batch.
-        let window = Duration::from_nanos(self.shared.group_window_nanos.load(Ordering::Relaxed));
-        if !window.is_zero()
-            && (self.shared.active_writers.load(Ordering::Relaxed) as usize) > c.queue.len()
-        {
-            let (c2, _) = self
-                .shared
-                .commit_cv
-                .wait_timeout(c, window)
-                .unwrap_or_else(|e| e.into_inner());
-            c = c2;
         }
         let batch = std::mem::take(&mut c.queue);
         drop(c);
@@ -1155,8 +1090,6 @@ impl DbStore {
         let snap = self.snapshot();
         let json = crate::snapshot::save_snapshot(&snap)?;
         let next_oid = w.db.next_oid();
-        let window = config.group_window;
-        let binary = config.record_format == wal::WalFormat::Binary;
         let mut new_wal = Wal::create(config)?;
         new_wal.checkpoint(&json, snap.epoch(), next_oid)?;
         {
@@ -1168,10 +1101,6 @@ impl DbStore {
             c.failed = None;
             *wal_slot = Some(new_wal);
         }
-        self.shared
-            .group_window_nanos
-            .store(window.as_nanos() as u64, Ordering::Relaxed);
-        self.shared.wal_binary.store(binary, Ordering::Relaxed);
         self.shared.wal_attached.store(true, Ordering::Relaxed);
         Ok(())
     }
@@ -1210,13 +1139,6 @@ impl DbStore {
     /// store).
     pub fn durable_epoch(&self) -> Epoch {
         lock(&self.shared.commit).durable_epoch
-    }
-
-    /// Tune the group-commit window on a live durable store.
-    pub fn set_group_window(&self, window: Duration) {
-        self.shared
-            .group_window_nanos
-            .store(window.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -1673,7 +1595,7 @@ mod tests {
         }
         // The hard cap wins over the pin: the ring stays bounded even
         // though the reader never re-pins (it still reads its own Arc).
-        assert!(store.epochs_retained() <= DEFAULT_MAX_RETAINED as usize);
+        assert!(store.epochs_retained() <= RETAINED_CAP);
         assert_eq!(pinned.pinned().epoch(), 1);
         drop(pinned);
     }

@@ -5,11 +5,11 @@
 //! the durability half of the write path:
 //!
 //! * **WAL** — an append-only file of length-prefixed, checksummed
-//!   frames. Each frame carries one [`WalRecord::Commit`]-shaped record:
-//!   the committed epoch, the OID allocator position, the event batch
-//!   the active mechanism saw, and the *redo operations* (post-image
-//!   upserts / deletes / schema registrations) that rebuild the commit
-//!   on replay. Events alone are not enough — a `DbEvent` names the
+//!   frames. Each frame carries one [`WalRecord`], encoded by
+//!   [`walcodec`]: the committed epoch, the OID allocator position, the
+//!   event batch the active mechanism saw, and the *redo operations*
+//!   (post-image upserts / deletes / schema registrations) that rebuild
+//!   the commit on replay. Events alone are not enough — a `DbEvent` names the
 //!   touched object but not its values, so the writer captures final
 //!   images from the snapshot it publishes.
 //! * **Checkpoints** — the existing `snapshot.rs` JSON serializer,
@@ -32,7 +32,6 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -55,9 +54,10 @@ pub const CHECKPOINT_META_FILE: &str = "checkpoint.meta.json";
 
 const WAL_MAGIC: &[u8; 8] = b"GEODBWAL";
 /// Current on-disk version. Version 1 logs held JSON frames only;
-/// version 2 adds binary frames (`walcodec`). Frames are sniffed per
-/// record, so readers accept both versions and a single log may mix
-/// formats (e.g. a v1 log reopened by a binary-writing store).
+/// version 2 added binary frames (`walcodec`), the only kind this build
+/// writes. Frames are sniffed per record, so readers accept both
+/// versions, and a log written before the switch (v1, or v2 with JSON
+/// frames) recovers and then continues in binary.
 const WAL_VERSION: u32 = 2;
 /// Oldest version this build still reads.
 const WAL_MIN_VERSION: u32 = 1;
@@ -112,37 +112,12 @@ pub struct WalRecord {
     pub ops: Vec<WalOp>,
 }
 
-/// Which encoding newly appended records use. Readers never consult
-/// this — each frame's payload is sniffed by its first byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalFormat {
-    /// Human-greppable JSON, the version-1 format.
-    Json,
-    /// Compact binary frames (`walcodec`): varint integers and an
-    /// interned string table, typically 2-4x smaller than JSON.
-    #[default]
-    Binary,
-}
-
-/// Encode a record into a frame payload (JSON bytes).
-pub fn encode_payload(rec: &WalRecord) -> Result<Vec<u8>> {
-    serde_json::to_string(rec)
-        .map(String::into_bytes)
-        .map_err(|e| GeoDbError::Storage(format!("encode wal record: {e}")))
-}
-
-/// Encode a record into a frame payload in the requested format.
-pub fn encode_payload_with(rec: &WalRecord, format: WalFormat) -> Result<Vec<u8>> {
-    match format {
-        WalFormat::Json => encode_payload(rec),
-        WalFormat::Binary => Ok(walcodec::encode_record(rec)),
-    }
-}
-
 /// Decode one frame payload, sniffing the format from its first byte:
-/// `0x01` is a binary frame, anything else is parsed as JSON. `None`
-/// means the payload is malformed in either format — the scan treats
-/// that as a torn tail.
+/// `0x01` is a binary frame, anything else is parsed as JSON. Nothing
+/// writes JSON frames any more, but logs from older builds hold them:
+/// without this branch they would pass their checksums, fail to decode
+/// and be cut off as a torn tail. `None` means the payload is malformed
+/// in either format — the scan treats that as a torn tail.
 pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     if payload.first() == Some(&walcodec::BINARY_MARKER) {
         walcodec::decode_record(payload)
@@ -192,53 +167,27 @@ pub(crate) fn load_checkpoint_meta(dir: &Path) -> Result<CheckpointMeta> {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Durability tuning for one WAL directory.
+/// Where a durable store keeps its log and how often it checkpoints.
+/// Every store writes binary `walcodec` frames, fsyncs each group
+/// commit, and flushes a group as soon as its leader takes over.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Directory holding `wal.log` + checkpoint files.
     pub dir: PathBuf,
-    /// How long a group-commit leader waits for concurrent writers to
-    /// join its batch before flushing. Zero flushes immediately; the
-    /// leader only waits when other writers are already inside `write`.
-    pub group_window: Duration,
-    /// fsync on every group commit (disable only in benchmarks that
-    /// factor the filesystem out).
-    pub fsync: bool,
     /// Auto-checkpoint after this many appended records (0 = manual).
     pub checkpoint_every: u64,
-    /// Encoding for newly appended records. Reading always sniffs per
-    /// frame, so changing this mid-log is safe.
-    pub record_format: WalFormat,
 }
 
 impl WalConfig {
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
-            group_window: Duration::ZERO,
-            fsync: true,
             checkpoint_every: 0,
-            record_format: WalFormat::default(),
         }
-    }
-
-    pub fn group_window(mut self, w: Duration) -> WalConfig {
-        self.group_window = w;
-        self
-    }
-
-    pub fn fsync(mut self, on: bool) -> WalConfig {
-        self.fsync = on;
-        self
     }
 
     pub fn checkpoint_every(mut self, n: u64) -> WalConfig {
         self.checkpoint_every = n;
-        self
-    }
-
-    pub fn record_format(mut self, f: WalFormat) -> WalConfig {
-        self.record_format = f;
         self
     }
 }
@@ -253,8 +202,8 @@ pub struct WalStatus {
     pub path: PathBuf,
     /// Records appended since open (not counting replayed history).
     pub records: u64,
-    /// Sum of encoded payload sizes appended since open (frame headers
-    /// excluded) — the number the JSON-vs-binary comparison reads.
+    /// Sum of the binary payload sizes appended since open (frame
+    /// headers excluded).
     pub payload_bytes: u64,
     /// Logical file length (end of the last complete frame).
     pub bytes: u64,
@@ -272,7 +221,7 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     dir: PathBuf,
-    config: WalConfig,
+    checkpoint_every: u64,
     len: u64,
     synced_len: u64,
     records: u64,
@@ -325,17 +274,20 @@ impl Wal {
     /// Open an existing, already-validated log for appending at
     /// `valid_len` (recovery truncates to that length first).
     fn open_at(config: WalConfig, valid_len: u64, checkpoint_epoch: Epoch) -> Result<Wal> {
-        let path = config.dir.join(WAL_FILE);
+        let WalConfig {
+            dir,
+            checkpoint_every,
+        } = config;
+        let path = dir.join(WAL_FILE);
         let file = OpenOptions::new()
             .append(true)
             .open(&path)
             .map_err(|e| io_error("open", &path, &e))?;
-        let dir = config.dir.clone();
         Ok(Wal {
             file,
             path,
             dir,
-            config,
+            checkpoint_every,
             len: valid_len,
             synced_len: valid_len,
             records: 0,
@@ -346,10 +298,6 @@ impl Wal {
             max_group: 0,
             checkpoint_epoch,
         })
-    }
-
-    pub fn config(&self) -> &WalConfig {
-        &self.config
     }
 
     /// Append one framed record. Does *not* sync — the group-commit
@@ -387,11 +335,9 @@ impl Wal {
             self.len = self.synced_len;
             return Err(GeoDbError::Storage(f.to_string()));
         }
-        if self.config.fsync {
-            self.file
-                .sync_data()
-                .map_err(|e| io_error("fsync", &self.path, &e))?;
-        }
+        self.file
+            .sync_data()
+            .map_err(|e| io_error("fsync", &self.path, &e))?;
         self.synced_len = self.len;
         self.fsyncs += 1;
         Ok(())
@@ -405,8 +351,7 @@ impl Wal {
 
     /// Has `checkpoint_every` elapsed since the last checkpoint?
     pub fn should_checkpoint(&self) -> bool {
-        self.config.checkpoint_every > 0
-            && self.records_since_checkpoint >= self.config.checkpoint_every
+        self.checkpoint_every > 0 && self.records_since_checkpoint >= self.checkpoint_every
     }
 
     /// Write a checkpoint (snapshot document + meta) and truncate the
@@ -760,7 +705,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut wal = Wal::create(WalConfig::new(&dir)).unwrap();
         for e in 2..=4u64 {
-            let payload = encode_payload(&record(e)).unwrap();
+            let payload = walcodec::encode_record(&record(e));
             wal.append_frame(&payload).unwrap();
         }
         wal.sync().unwrap();
@@ -777,8 +722,8 @@ mod tests {
     fn torn_tail_is_detected_and_reported() {
         let dir = tmp_dir("torn");
         let mut wal = Wal::create(WalConfig::new(&dir)).unwrap();
-        let p1 = encode_payload(&record(2)).unwrap();
-        let p2 = encode_payload(&record(3)).unwrap();
+        let p1 = walcodec::encode_record(&record(2));
+        let p2 = walcodec::encode_record(&record(3));
         wal.append_frame(&p1).unwrap();
         wal.append_frame(&p2).unwrap();
         wal.sync().unwrap();
@@ -803,7 +748,7 @@ mod tests {
     fn corrupt_byte_in_tail_frame_fails_checksum() {
         let dir = tmp_dir("flip");
         let mut wal = Wal::create(WalConfig::new(&dir)).unwrap();
-        let p1 = encode_payload(&record(2)).unwrap();
+        let p1 = walcodec::encode_record(&record(2));
         wal.append_frame(&p1).unwrap();
         wal.sync().unwrap();
         let path = dir.join(WAL_FILE);

@@ -1,6 +1,7 @@
 //! Compact binary encoding for WAL record frames.
 //!
-//! JSON frames spend most of their bytes on repeated field names,
+//! JSON frames (the version-1 format, which stores now only read)
+//! spend most of their bytes on repeated field names,
 //! variant tags and stringified numbers. This codec serializes the same
 //! self-describing [`Content`] tree the JSON path serializes — so the
 //! two formats are interchangeable record-for-record — but encodes it
@@ -22,7 +23,7 @@
 //!          | 8 varint(n) {node node}* map (key, value pairs)
 //! ```
 //!
-//! String ids below [`STATIC_VOCAB`]`.len()` name well-known strings
+//! String ids below `STATIC_VOCAB.len()` name well-known strings
 //! (field names, enum variants) and cost one or two bytes; the rest
 //! index the per-frame dynamic table in first-appearance order, so
 //! repeated schema/class names are written once per frame. The vocab is

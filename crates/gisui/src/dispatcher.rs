@@ -882,7 +882,7 @@ impl Dispatcher {
     /// Apply an update through the interface and refresh every open
     /// window that displays the object or its class.
     ///
-    /// This is the *view refresh* facility of Diaz et al. [3], which the
+    /// This is the *view refresh* facility of Diaz et al. \[3\], which the
     /// paper contrasts with its own focus: here the two compose — the
     /// refreshed window is rebuilt through the active mechanism, so it
     /// keeps the session's customization. Update events themselves still

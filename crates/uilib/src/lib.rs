@@ -10,7 +10,7 @@
 //! * the composition [`tree`] with path addressing;
 //! * named [`callback`]s ("generic behavior can be dynamically customized
 //!   by callback functions");
-//! * a character-cell [`layout`] engine and two headless renderers
+//! * a character-cell [`layout`](mod@layout) engine and two headless renderers
 //!   ([`render::ascii`], [`render::svg`]) standing in for the 1997 Motif
 //!   toolkit (see DESIGN.md, substitution table);
 //! * cartographic [`scene`]s for DrawingArea widgets;
@@ -31,7 +31,6 @@
 //! ```
 
 pub mod callback;
-pub mod diff;
 pub mod layout;
 pub mod persist;
 pub mod registry;
@@ -41,7 +40,6 @@ pub mod tree;
 pub mod widget;
 
 pub use callback::{CallbackFn, CallbackTable, Signal, UiEvent};
-pub use diff::{diff, DiffOp};
 pub use layout::{layout, Bounds, LayoutMap};
 pub use registry::{Library, LibraryError, WidgetClass};
 pub use scene::{MapScene, MapShape, SceneMap};

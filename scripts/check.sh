@@ -42,6 +42,9 @@ if [[ "$QUICK" == 0 ]]; then
 
   echo "==> cargo fmt --check"
   cargo fmt --all --check
+
+  echo "==> cargo doc (rustdoc warnings are errors)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 fi
 
 echo "==> Dispatch smoke (c1_rule_selection, quick, compiled-tier + batch-lane gates)"
@@ -57,8 +60,9 @@ BENCH_QUICK=1 DISPATCH_GATE=1 cargo bench -p bench --bench c1_rule_selection
 echo "==> SLO + WAL smoke (c5_throughput, quick)"
 # Fails if the clean serving run breaches the availability SLO or
 # observes no serving latency, any durable-write crash + recovery
-# diverges from the acknowledged state, or the binary WAL codec loses
-# its >= 2x size win over JSON; writes target/bench/BENCH_throughput.json
+# diverges from the acknowledged state, or the 4-writer run's binary
+# WAL frames are less than 2x smaller than the same records as JSON
+# (bench::wal_gate); writes target/bench/BENCH_throughput.json
 # (tracing + slo + durability + wal_encoding sections) and
 # target/bench/BENCH_slo.json.
 BENCH_QUICK=1 SLO_SMOKE=1 WAL_GATE=1 cargo bench -p bench --bench c5_throughput

@@ -18,7 +18,6 @@
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -460,20 +459,17 @@ fn aborted_write_republishes_and_logs_consistently() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Concurrent writers share fsyncs through group commit: with a window
-/// armed, batches of more than one commit form, every write is
-/// acknowledged durable, and the final state still matches a recovery.
+/// Concurrent writers share fsyncs through group commit: writers that
+/// queue while the leader is in fsync form the next batch, so batches of
+/// more than one commit form, every write is acknowledged durable, and
+/// the final state still matches a recovery.
 #[test]
 fn group_commit_batches_concurrent_writers() {
     let _g = serialized();
     const WRITERS: usize = 4;
     const WRITES_EACH: usize = 25;
     let dir = tmp_dir("group");
-    let (store, _) = wal::open(
-        seeded_db("group"),
-        WalConfig::new(&dir).group_window(Duration::from_millis(20)),
-    )
-    .unwrap();
+    let (store, _) = wal::open(seeded_db("group"), WalConfig::new(&dir)).unwrap();
 
     // A long-pinned reader across the storm: retention must stay
     // bounded anyway.
@@ -529,7 +525,7 @@ fn group_commit_batches_concurrent_writers() {
     );
     assert!(
         status.fsyncs < total,
-        "every commit paid its own fsync despite the window"
+        "every commit paid its own fsync: no follower queued behind a leader"
     );
     assert!(
         store.epochs_retained() <= 8,

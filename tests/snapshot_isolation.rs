@@ -246,7 +246,7 @@ fn pinned_readers_survive_a_writer_storm() {
 
     assert_eq!(store.epoch(), first_epoch + WRITES as u64);
     // With every thread done, only the published snapshot stays alive.
-    assert_eq!(store.pinned_snapshots(), 0);
+    assert_eq!(store.pin_count(), 0);
 
     // The final state is exactly what a sequential replay produces.
     let mut replay_db = seeded_db("storm");

@@ -9,10 +9,12 @@
 //!    fails to decode cleanly (`None`), never panics and never yields a
 //!    wrong record — recovery treats it as a torn tail.
 //! 3. **Mixed logs**: a log holding a JSON prefix and a binary tail (a
-//!    version-1 store reopened by a binary-writing build) recovers to
-//!    the same state as an oracle replay, at every truncation offset.
+//!    log from a JSON-writing build, version 1 or 2, reopened by this
+//!    one) recovers to the same state as an oracle replay, at every
+//!    truncation offset. Stores write binary frames only, so these tests
+//!    write the JSON prefix themselves ([`write_json_log`]).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
@@ -22,7 +24,7 @@ use geodb::instance::{Instance, Oid};
 use geodb::query::DbEvent;
 use geodb::schema::{ClassDef, SchemaDef};
 use geodb::value::{AttrType, Value};
-use geodb::wal::{self, WalConfig, WalFormat, WalOp, WalRecord};
+use geodb::wal::{self, Wal, WalConfig, WalOp, WalRecord};
 use geodb::walcodec;
 use geodb::Epoch;
 
@@ -294,10 +296,17 @@ fn oracle_bytes(n: usize) -> String {
     geodb::snapshot::save(&mut db).unwrap()
 }
 
-/// The payload format of each complete frame in a log file.
-fn frame_formats(path: &std::path::Path) -> Vec<WalFormat> {
+/// The payload kind of a log frame, sniffed by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameKind {
+    Json,
+    Binary,
+}
+
+/// The payload kind of each complete frame in a log file.
+fn frame_kinds(path: &Path) -> Vec<FrameKind> {
     let bytes = std::fs::read(path).unwrap();
-    let mut formats = Vec::new();
+    let mut kinds = Vec::new();
     let mut off = 12; // file header
     while off + 12 <= bytes.len() {
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
@@ -305,38 +314,83 @@ fn frame_formats(path: &std::path::Path) -> Vec<WalFormat> {
         if start + len > bytes.len() {
             break;
         }
-        formats.push(if bytes[start] == walcodec::BINARY_MARKER {
-            WalFormat::Binary
+        kinds.push(if bytes[start] == walcodec::BINARY_MARKER {
+            FrameKind::Binary
         } else {
-            WalFormat::Json
+            FrameKind::Json
         });
         off = start + len;
     }
-    formats
+    kinds
 }
 
-/// A JSON-era log reopened by a binary-writing store: recovery replays
-/// the JSON prefix, appends binary frames after it, and a second
-/// recovery replays the mixed log to the same state as the oracle.
-#[test]
-fn mixed_format_log_recovers_like_the_oracle() {
+/// The version field of a log file's header.
+fn header_version(path: &Path) -> u32 {
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(&bytes[..8], b"GEODBWAL");
+    u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+}
+
+/// Rewrite the log in `dir` as a JSON-writing build left it: the
+/// `GEODBWAL` magic, `version` in the log header and the checkpoint
+/// meta, and one JSON frame (`serde_json::to_vec`, appended through
+/// `Wal::append_frame`) per record.
+fn write_json_log(dir: &Path, version: u32, records: &[WalRecord]) {
+    let mut log = Wal::create(WalConfig::new(dir)).unwrap();
+    for rec in records {
+        log.append_frame(&serde_json::to_vec(rec).unwrap()).unwrap();
+    }
+    log.sync().unwrap();
+    drop(log);
+    let path = dir.join(wal::WAL_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let meta_path = dir.join(wal::CHECKPOINT_META_FILE);
+    let meta = std::fs::read_to_string(&meta_path).unwrap();
+    assert!(meta.contains("\"version\": 2"), "unexpected meta: {meta}");
+    let meta = meta.replace("\"version\": 2", &format!("\"version\": {version}"));
+    std::fs::write(&meta_path, meta).unwrap();
+}
+
+/// A durable store in `dir` after `writes` inserts, left on disk as a
+/// JSON-writing build at `version` would have left it: the records the
+/// store logged, rewritten as JSON frames.
+fn json_era_store(dir: &Path, version: u32, writes: usize) {
+    let (store, report) = wal::open(seeded_db("mixed"), WalConfig::new(dir)).unwrap();
+    assert!(report.is_none());
+    for i in 0..writes {
+        store.write(|db| insert_cell(db, i as i64)).unwrap();
+    }
+    drop(store);
+    let logged = wal::read_wal(&dir.join(wal::WAL_FILE)).unwrap().records;
+    assert_eq!(logged.len(), writes);
+    write_json_log(dir, version, &logged);
+    assert_eq!(header_version(&dir.join(wal::WAL_FILE)), version);
+    assert_eq!(
+        frame_kinds(&dir.join(wal::WAL_FILE)),
+        vec![FrameKind::Json; writes]
+    );
+}
+
+/// A JSON-era log reopened by this build: recovery replays the JSON
+/// prefix to the oracle, the store appends binary frames after it, and
+/// a second recovery replays the mixed log to the same state as the
+/// oracle.
+fn json_prefix_recovers_then_continues_in_binary(tag: &str, version: u32) {
     const JSON_WRITES: usize = 4;
     const BINARY_WRITES: usize = 4;
-    let dir = tmp_dir("mixed");
-
-    let json_config = || WalConfig::new(&dir).record_format(WalFormat::Json);
-    let binary_config = || WalConfig::new(&dir).record_format(WalFormat::Binary);
-
+    let dir = tmp_dir(tag);
+    json_era_store(&dir, version, JSON_WRITES);
     {
-        let (store, report) = wal::open(seeded_db("mixed"), json_config()).unwrap();
-        assert!(report.is_none());
-        for i in 0..JSON_WRITES {
-            store.write(|db| insert_cell(db, i as i64)).unwrap();
-        }
-    }
-    {
-        let (store, report) = wal::recover(binary_config()).unwrap();
+        let (store, report) = wal::recover(WalConfig::new(&dir)).unwrap();
         assert_eq!(report.replayed_records, JSON_WRITES as u64);
+        assert!(report.torn.is_none());
+        assert_eq!(
+            geodb::snapshot::save_snapshot(&store.snapshot()).unwrap(),
+            oracle_bytes(JSON_WRITES),
+            "JSON-prefix recovery diverged from the oracle"
+        );
         for i in 0..BINARY_WRITES {
             store
                 .write(|db| insert_cell(db, (JSON_WRITES + i) as i64))
@@ -347,12 +401,12 @@ fn mixed_format_log_recovers_like_the_oracle() {
         assert!(status.payload_bytes > 0);
     }
 
-    let formats = frame_formats(&dir.join(wal::WAL_FILE));
-    assert_eq!(formats.len(), JSON_WRITES + BINARY_WRITES);
-    assert_eq!(&formats[..JSON_WRITES], &[WalFormat::Json; JSON_WRITES]);
-    assert_eq!(&formats[JSON_WRITES..], &[WalFormat::Binary; BINARY_WRITES]);
+    let kinds = frame_kinds(&dir.join(wal::WAL_FILE));
+    assert_eq!(kinds.len(), JSON_WRITES + BINARY_WRITES);
+    assert_eq!(&kinds[..JSON_WRITES], &[FrameKind::Json; JSON_WRITES]);
+    assert_eq!(&kinds[JSON_WRITES..], &[FrameKind::Binary; BINARY_WRITES]);
 
-    let (recovered, report) = wal::recover(binary_config()).unwrap();
+    let (recovered, report) = wal::recover(WalConfig::new(&dir)).unwrap();
     assert_eq!(
         report.replayed_records,
         (JSON_WRITES + BINARY_WRITES) as u64,
@@ -368,6 +422,20 @@ fn mixed_format_log_recovers_like_the_oracle() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A version-2 log whose prefix holds JSON frames (an older build could
+/// write either format under version 2).
+#[test]
+fn mixed_format_log_recovers_like_the_oracle() {
+    json_prefix_recovers_then_continues_in_binary("mixed", 2);
+}
+
+/// A version-1 log (JSON frames only, version-1 checkpoint meta) still
+/// recovers, and this build continues it in binary.
+#[test]
+fn version_one_log_recovers_and_continues_in_binary() {
+    json_prefix_recovers_then_continues_in_binary("v1", 1);
+}
+
 /// Truncate the mixed log at a sweep of byte offsets: recovery always
 /// succeeds and lands on the oracle prefix of however many complete
 /// frames survive — JSON and binary frames alike.
@@ -377,19 +445,9 @@ fn mixed_log_truncation_sweep_holds_at_every_offset() {
     const BINARY_WRITES: usize = 3;
     let dir = tmp_dir("mixed-torn");
 
+    json_era_store(&dir, 2, JSON_WRITES);
     {
-        let (store, _) = wal::open(
-            seeded_db("mixed"),
-            WalConfig::new(&dir).record_format(WalFormat::Json),
-        )
-        .unwrap();
-        for i in 0..JSON_WRITES {
-            store.write(|db| insert_cell(db, i as i64)).unwrap();
-        }
-    }
-    {
-        let (store, _) =
-            wal::recover(WalConfig::new(&dir).record_format(WalFormat::Binary)).unwrap();
+        let (store, _) = wal::recover(WalConfig::new(&dir)).unwrap();
         for i in 0..BINARY_WRITES {
             store
                 .write(|db| insert_cell(db, (JSON_WRITES + i) as i64))
@@ -409,8 +467,7 @@ fn mixed_log_truncation_sweep_holds_at_every_offset() {
     let mut cut = 0usize;
     while cut <= full.len() {
         std::fs::write(scratch.join(wal::WAL_FILE), &full[..cut.min(full.len())]).unwrap();
-        let (store, report) =
-            wal::recover(WalConfig::new(&scratch).record_format(WalFormat::Binary)).unwrap();
+        let (store, report) = wal::recover(WalConfig::new(&scratch)).unwrap();
         let replayed = report.replayed_records as usize;
         assert!(
             replayed <= JSON_WRITES + BINARY_WRITES,
@@ -459,12 +516,8 @@ fn binary_frames_are_at_least_twice_as_small_as_json() {
                 },
             }],
         };
-        json_bytes += wal::encode_payload_with(&rec, WalFormat::Json)
-            .unwrap()
-            .len();
-        binary_bytes += wal::encode_payload_with(&rec, WalFormat::Binary)
-            .unwrap()
-            .len();
+        json_bytes += serde_json::to_vec(&rec).unwrap().len();
+        binary_bytes += walcodec::encode_record(&rec).len();
     }
     assert!(
         binary_bytes * 2 <= json_bytes,
